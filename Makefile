@@ -1,7 +1,7 @@
 .PHONY: all build test check smoke check-smoke analyze-smoke fuzz-smoke \
 	matrix-smoke trace-smoke jit-smoke perf-smoke serve-smoke \
 	serve-scale-smoke serve-bench cross-cache-smoke bench-compare \
-	regen-golden bench clean
+	perfbench-smoke regen-golden bench clean
 
 all: build
 
@@ -20,7 +20,8 @@ check:
 	&& $(MAKE) trace-smoke && $(MAKE) jit-smoke && $(MAKE) perf-smoke \
 	&& $(MAKE) serve-smoke && $(MAKE) serve-scale-smoke \
 	&& $(MAKE) bench-compare BASE=BENCH_fig7.json NEW=BENCH_fig7.json \
-	&& $(MAKE) bench-compare BASE=BENCH_serve.json NEW=BENCH_serve.json
+	&& $(MAKE) bench-compare BASE=BENCH_serve.json NEW=BENCH_serve.json \
+	&& $(MAKE) perfbench-smoke
 
 # compile the example kernels plus 50 fixed-seed generated kernels
 # under every configuration with the per-pass static verifier on; any
@@ -125,6 +126,13 @@ serve-scale-smoke: build
 # >20% warm-throughput regressions gate)
 serve-bench: build
 	./_build/default/bin/serve_bench.exe --out BENCH_serve.json
+
+# seconds-long sizes of every repository-benchmark workload (see
+# perfbench/NOTES.md): builds perfbench/bench.exe from this checkout,
+# so it is the gate on the library names the benchmark links, and
+# checks every metric BENCHMARK.json names is printed with its unit
+perfbench-smoke:
+	python3 perfbench/run.py --self-test
 
 # two dfpd processes sharing one --cache-dir: the second must warm-hit
 # the first's results with zero decode errors and no torn reads

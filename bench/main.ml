@@ -37,20 +37,7 @@ let fig7 ?(progress = true) ?cache ?machine ~jobs () =
 
 (* -- machine-readable results ------------------------------------- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+module Json = Edge_obs.Json
 
 let write_json path ~wall_s ~alloc ~fsim ~backends
     (r : Edge_harness.Figure7.result) =
@@ -74,14 +61,14 @@ let write_json path ~wall_s ~alloc ~fsim ~backends
       pf "  \"fsim_throughput\": {\n";
       pf "    \"workloads\": [";
       sep_inline f.Edge_harness.Fsim_bench.workloads (fun w ->
-          pf "\"%s\"" (json_escape w));
+          pf "\"%s\"" (Json.escape w));
       pf "],\n    \"rows\": [\n";
       sep f.Edge_harness.Fsim_bench.rows (fun (row : Edge_harness.Fsim_bench.row) ->
           pf
             "      { \"config\": \"%s\", \"jit_blocks_s\": %.0f, \
              \"jit_instrs_s\": %.0f, \"interp_blocks_s\": %.0f, \
              \"interp_instrs_s\": %.0f, \"speedup\": %.2f }"
-            (json_escape row.Edge_harness.Fsim_bench.config)
+            (Json.escape row.Edge_harness.Fsim_bench.config)
             row.Edge_harness.Fsim_bench.jit_blocks_s
             row.Edge_harness.Fsim_bench.jit_instrs_s
             row.Edge_harness.Fsim_bench.interp_blocks_s
@@ -90,18 +77,18 @@ let write_json path ~wall_s ~alloc ~fsim ~backends
       pf "\n    ]\n  },\n");
   pf "  \"geomean_speedups\": {\n";
   sep r.Edge_harness.Figure7.mean_speedups (fun (n, s) ->
-      pf "    \"%s\": %.4f" (json_escape n) s);
+      pf "    \"%s\": %.4f" (Json.escape n) s);
   pf "\n  },\n";
   pf "  \"benches\": [\n";
   sep r.Edge_harness.Figure7.rows (fun row ->
       pf "    { \"bench\": \"%s\",\n"
-        (json_escape row.Edge_harness.Figure7.bench);
+        (Json.escape row.Edge_harness.Figure7.bench);
       pf "      \"cycles\": { ";
       sep_inline row.Edge_harness.Figure7.cycles (fun (n, c) ->
-          pf "\"%s\": %d" (json_escape n) c);
+          pf "\"%s\": %d" (Json.escape n) c);
       pf " },\n      \"speedups\": { ";
       sep_inline row.Edge_harness.Figure7.speedups (fun (n, s) ->
-          pf "\"%s\": %.4f" (json_escape n) s);
+          pf "\"%s\": %.4f" (Json.escape n) s);
       pf " } }");
   pf "\n  ],\n";
   (* per-backend cycle tables: the top-level "benches" stays the
@@ -109,29 +96,29 @@ let write_json path ~wall_s ~alloc ~fsim ~backends
      description's own sweep, diffed independently by bench_compare *)
   pf "  \"backends\": {\n";
   sep backends (fun (bname, (br : Edge_harness.Figure7.result)) ->
-      pf "    \"%s\": {\n" (json_escape bname);
+      pf "    \"%s\": {\n" (Json.escape bname);
       pf "      \"geomean_speedups\": { ";
       sep_inline br.Edge_harness.Figure7.mean_speedups (fun (n, s) ->
-          pf "\"%s\": %.4f" (json_escape n) s);
+          pf "\"%s\": %.4f" (Json.escape n) s);
       pf " },\n      \"benches\": [\n";
       sep br.Edge_harness.Figure7.rows (fun row ->
           pf "        { \"bench\": \"%s\", \"cycles\": { "
-            (json_escape row.Edge_harness.Figure7.bench);
+            (Json.escape row.Edge_harness.Figure7.bench);
           sep_inline row.Edge_harness.Figure7.cycles (fun (n, c) ->
-              pf "\"%s\": %d" (json_escape n) c);
+              pf "\"%s\": %d" (Json.escape n) c);
           pf " } }");
       pf "\n      ]\n    }");
   pf "\n  },\n";
   pf "  \"pass_counters\": {\n";
   sep r.Edge_harness.Figure7.pass_totals (fun (config, counters) ->
-      pf "    \"%s\": { " (json_escape config);
-      sep_inline counters (fun (k, v) -> pf "\"%s\": %d" (json_escape k) v);
+      pf "    \"%s\": { " (Json.escape config);
+      sep_inline counters (fun (k, v) -> pf "\"%s\": %d" (Json.escape k) v);
       pf " }");
   pf "\n  },\n";
   pf "  \"errors\": [\n";
   sep r.Edge_harness.Figure7.errors (fun (w, e) ->
-      pf "    { \"experiment\": \"%s\", \"error\": \"%s\" }" (json_escape w)
-        (json_escape e));
+      pf "    { \"experiment\": \"%s\", \"error\": \"%s\" }" (Json.escape w)
+        (Json.escape e));
   pf "\n  ]\n}\n";
   match open_out path with
   | oc ->

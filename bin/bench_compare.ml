@@ -20,177 +20,11 @@
    plus two byte-identical flags; latency and ratio drift is reported
    non-fatally, but either identical flag flipping false or warm
    throughput regressing more than 20% for a matching -j fails the
-   comparison.
+   comparison. *)
 
-   The parser below is a minimal recursive-descent JSON reader — just
-   enough for the bench writer's output — so the tool needs no JSON
-   dependency. *)
-
-type json =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | Arr of json list
-  | Obj of (string * json) list
-
-exception Parse_error of string
-
-let parse_json (s : string) : json =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = raise (Parse_error (Printf.sprintf "%s at byte %d" msg !pos)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-        advance ();
-        skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected '%c'" c)
-  in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' -> (
-          advance ();
-          match peek () with
-          | Some 'n' ->
-              Buffer.add_char b '\n';
-              advance ();
-              go ()
-          | Some 't' ->
-              Buffer.add_char b '\t';
-              advance ();
-              go ()
-          | Some 'u' ->
-              (* keep \uXXXX escapes verbatim: names compared here are
-                 plain ASCII, the escape only needs to round-trip *)
-              advance ();
-              Buffer.add_string b "\\u";
-              for _ = 1 to 4 do
-                (match peek () with
-                | Some c ->
-                    Buffer.add_char b c;
-                    advance ()
-                | None -> fail "bad \\u escape")
-              done;
-              go ()
-          | Some c ->
-              Buffer.add_char b c;
-              advance ();
-              go ()
-          | None -> fail "bad escape")
-      | Some c ->
-          Buffer.add_char b c;
-          advance ();
-          go ()
-    in
-    go ();
-    Buffer.contents b
-  in
-  let parse_number () =
-    let start = !pos in
-    let is_num_char = function
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    while match peek () with Some c -> is_num_char c | None -> false do
-      advance ()
-    done;
-    match float_of_string_opt (String.sub s start (!pos - start)) with
-    | Some f -> Num f
-    | None -> fail "bad number"
-  in
-  let literal word v =
-    let l = String.length word in
-    if !pos + l <= n && String.sub s !pos l = word then begin
-      pos := !pos + l;
-      v
-    end
-    else fail ("expected " ^ word)
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | Some '"' -> Str (parse_string ())
-    | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then begin
-          advance ();
-          Obj []
-        end
-        else begin
-          let fields = ref [] in
-          let rec members () =
-            skip_ws ();
-            let k = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            fields := (k, v) :: !fields;
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                members ()
-            | Some '}' -> advance ()
-            | _ -> fail "expected ',' or '}'"
-          in
-          members ();
-          Obj (List.rev !fields)
-        end
-    | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then begin
-          advance ();
-          Arr []
-        end
-        else begin
-          let items = ref [] in
-          let rec elements () =
-            let v = parse_value () in
-            items := v :: !items;
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                elements ()
-            | Some ']' -> advance ()
-            | _ -> fail "expected ',' or ']'"
-          in
-          elements ();
-          Arr (List.rev !items)
-        end
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some _ -> parse_number ()
-    | None -> fail "unexpected end of input"
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage";
-  v
+open Edge_obs.Json
 
 (* -- BENCH-file accessors ------------------------------------------ *)
-
-let member k = function
-  | Obj fields -> List.assoc_opt k fields
-  | _ -> None
-
-let to_num = function Some (Num f) -> Some f | _ -> None
 
 let load path =
   let ic =
@@ -201,14 +35,14 @@ let load path =
   in
   let src = really_input_string ic (in_channel_length ic) in
   close_in ic;
-  match parse_json src with
-  | v -> v
-  | exception Parse_error e ->
+  match parse src with
+  | Ok v -> v
+  | Error e ->
       Printf.eprintf "bench_compare: %s: %s\n" path e;
       exit 2
 
 (* bench name -> (config -> cycles) *)
-let cycles_of (v : json) : (string * (string * int) list) list =
+let cycles_of (v : t) : (string * (string * int) list) list =
   match member "benches" v with
   | Some (Arr rows) ->
       List.filter_map
@@ -229,14 +63,14 @@ let cycles_of (v : json) : (string * (string * int) list) list =
 
 (* backend name -> (bench -> (config -> cycles)); [] when a file
    predates the per-backend sections *)
-let backends_of (v : json) : (string * (string * (string * int) list) list) list
+let backends_of (v : t) : (string * (string * (string * int) list) list) list
     =
   match member "backends" v with
   | Some (Obj sections) ->
       List.map (fun (name, section) -> (name, cycles_of section)) sections
   | _ -> []
 
-let wall_of v = to_num (member "total" (Option.value ~default:Null (member "wall_s" v)))
+let wall_of v = Option.bind (member "wall_s" v) (num_member "total")
 
 (* (config, (jit_instrs_s, speedup)) per row of the optional
    fsim_throughput section; [] when a file predates it *)
@@ -249,8 +83,8 @@ let fsim_of v =
             (fun row ->
               match
                 ( member "config" row,
-                  to_num (member "jit_instrs_s" row),
-                  to_num (member "speedup" row) )
+                  num_member "jit_instrs_s" row,
+                  num_member "speedup" row )
               with
               | Some (Str cfg), Some instrs, Some speedup ->
                   Some (cfg, (instrs, speedup))
@@ -266,10 +100,10 @@ let serve_rows v =
       List.filter_map
         (fun row ->
           match
-            ( to_num (member "j" row),
-              to_num (member "warm_jobs_s" row),
-              to_num (member "warm_cold_ratio" row),
-              to_num (member "warm_p99_ms" row) )
+            ( num_member "j" row,
+              num_member "warm_jobs_s" row,
+              num_member "warm_cold_ratio" row,
+              num_member "warm_p99_ms" row )
           with
           | Some j, Some w, Some r, Some p ->
               Some (int_of_float j, (w, r, p))

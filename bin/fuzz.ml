@@ -50,7 +50,7 @@
 let run_serve ~seed ~n ~jobs ~min_size ~max_size =
   let module Server = Edge_serve.Server in
   let module Client = Edge_serve.Client in
-  let module Json = Edge_serve.Json in
+  let module Json = Edge_obs.Json in
   let module Oracle = Edge_fuzz.Oracle in
   let dir =
     Filename.concat
@@ -128,6 +128,7 @@ let run_serve ~seed ~n ~jobs ~min_size ~max_size =
       "{\"op\":\"reboot\"}";
       "[1,2,3]";
       "{\"source\":\"x\",\"config\":\"Both\",\"fuel\":-5}";
+      "{\"source\":\"x\",\"config\":\"Both\",\"fuel\":01}" (* leading zero *);
       String.concat "" (List.init 4096 (fun _ -> "{")) (* deep nesting *);
     ]
   in

@@ -48,7 +48,7 @@
    files. *)
 
 module Client = Edge_serve.Client
-module Json = Edge_serve.Json
+module Json = Edge_obs.Json
 module Experiment = Edge_harness.Experiment
 
 (* spawned dfpd children still alive; [die] reaps them so a failed

@@ -71,7 +71,7 @@ let make_obs o ~name =
 
 (* run a hand-written assembly program: arguments land in the parameter
    registers, g1 is printed on halt *)
-let run_asm path args ~arena oopts =
+let run_asm path args oopts =
   let parsed =
     if Filename.check_suffix path ".img" then Edge_isa.Image.read_file path
     else begin
@@ -93,7 +93,7 @@ let run_asm path args ~arena oopts =
             args;
           let mem = Edge_isa.Mem.create ~size:(1 lsl 20) in
           let obs, finish = make_obs oopts ~name:(Filename.basename path) in
-          match Edge_sim.Cycle_sim.run ?obs ~arena program ~regs ~mem with
+          match Edge_sim.Cycle_sim.run ?obs program ~regs ~mem with
           | Error e -> Error e
           | Ok stats ->
               Format.printf "g1 = %Ld@.%a@."
@@ -104,7 +104,7 @@ let run_asm path args ~arena oopts =
 (* run a `.k` kernel source file under the fuzz-corpus conventions;
    [machine_tag] (the --machine argument, if any) lands in the text
    trace header so traces from different machines are distinguishable *)
-let run_kernel path (config_name, config) machine ?machine_tag ~arena oopts =
+let run_kernel path (config_name, config) machine ?machine_tag oopts =
   let ic = open_in_bin path in
   let source = really_input_string ic (in_channel_length ic) in
   close_in ic;
@@ -112,7 +112,7 @@ let run_kernel path (config_name, config) machine ?machine_tag ~arena oopts =
   match Edge_harness.Tracekit.compile_source source config with
   | Error e -> Error e
   | Ok compiled -> (
-      match Edge_harness.Tracekit.run_traced ~machine ~arena compiled with
+      match Edge_harness.Tracekit.run_traced ~machine compiled with
       | Error e -> Error e
       | Ok t ->
           let ( let* ) = Result.bind in
@@ -174,9 +174,8 @@ let run_lint workload config_name =
   Ok ()
 
 let run workload config_name machine_name functional_only no_early in_order
-    no_arena no_jit check lint asm_args trace_out trace_text metrics =
+    no_jit check lint asm_args trace_out trace_text metrics =
   let ( let* ) = Result.bind in
-  let arena = not no_arena in
   if no_jit then Edge_sim.Functional.set_jit false;
   if check then Edge_check.Check.set_enabled true;
   let oopts = { trace_out; trace_text; metrics } in
@@ -206,13 +205,13 @@ let run workload config_name machine_name functional_only no_early in_order
       run_asm workload
         (List.filter_map Int64.of_string_opt
            (String.split_on_char ',' asm_args))
-        ~arena oopts
+        oopts
     else if Filename.check_suffix workload ".k" then
       let* name_config = config_of_name config_name in
       run_kernel workload name_config machine
         ?machine_tag:
           (Option.map (fun _ -> Edge_sim.Machine.name machine) machine_name)
-        ~arena oopts
+        oopts
     else
     let* w =
       match Edge_workloads.Registry.find workload with
@@ -244,7 +243,7 @@ let run workload config_name machine_name functional_only no_early in_order
         make_obs oopts ~name:(workload ^ "/" ^ fst name_config)
       in
       let* r =
-        Edge_harness.Experiment.run_one ~machine ?obs ~arena w name_config
+        Edge_harness.Experiment.run_one ~machine ?obs w name_config
       in
       Format.printf "%s/%s: verified against the reference interpreter@."
         r.Edge_harness.Experiment.workload r.Edge_harness.Experiment.config;
@@ -349,14 +348,6 @@ let no_jit_arg =
   in
   Arg.(value & flag & info [ "no-jit" ] ~doc)
 
-let no_arena_arg =
-  let doc =
-    "Disable the cycle simulator's frame arena: allocate fresh per-block \
-     operand/state arrays instead of recycling pooled ones. Results are \
-     identical either way; use for differential testing of the arena."
-  in
-  Arg.(value & flag & info [ "no-arena" ] ~doc)
-
 let trace_out_arg =
   let doc =
     "Write a Chrome trace-event JSON of the cycle-simulator run to \
@@ -381,7 +372,7 @@ let cmd =
     (Cmd.info "tsim" ~doc)
     Term.(
       const run $ workload_arg $ config_arg $ machine_arg $ functional_arg
-      $ no_early_arg $ in_order_arg $ no_arena_arg $ no_jit_arg $ check_arg
+      $ no_early_arg $ in_order_arg $ no_jit_arg $ check_arg
       $ lint_arg $ asm_args_arg $ trace_out_arg $ trace_text_arg
       $ metrics_arg)
 

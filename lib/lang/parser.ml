@@ -1,8 +1,8 @@
-exception Parse_error of string
+exception Syntax_error of string
 
 type state = { mutable toks : Lexer.token list }
 
-let fail fmt = Format.kasprintf (fun s -> raise (Parse_error s)) fmt
+let fail fmt = Format.kasprintf (fun s -> raise (Syntax_error s)) fmt
 
 let peek st = match st.toks with t :: _ -> t | [] -> Lexer.EOF
 
@@ -262,7 +262,7 @@ let parse src =
         | Lexer.EOF -> ()
         | t -> fail "trailing input: %a" Lexer.pp_token t);
         Ok { Ast.kname; params; body }
-      with Parse_error e -> Error e)
+      with Syntax_error e -> Error e)
 
 let parse_expr src =
   match Lexer.tokenize src with
@@ -274,4 +274,4 @@ let parse_expr src =
         match peek st with
         | Lexer.EOF -> Ok e
         | t -> fail "trailing input: %a" Lexer.pp_token t
-      with Parse_error e -> Error e)
+      with Syntax_error e -> Error e)

@@ -1,141 +1,8 @@
-(* A minimal JSON well-formedness checker (no value construction), used
-   by `make trace-smoke` and the tests to prove that the Chrome
-   trace-event files we emit actually parse. Accepts strict RFC 8259
-   JSON; returns the byte offset of the first error. *)
+(* JSON well-formedness check, used by `make trace-smoke` and the tests
+   to prove that the Chrome trace-event files we emit actually parse:
+   {!Json}'s strict RFC 8259 parser with the value discarded. Returns
+   the byte offset of the first error. *)
 
-type error = { offset : int; message : string }
+type error = Json.error = { offset : int; message : string }
 
-let check (s : string) : (unit, error) result =
-  let n = String.length s in
-  let pos = ref 0 in
-  let exception Bad of error in
-  let fail msg = raise (Bad { offset = !pos; message = msg }) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let skip_ws () =
-    while
-      !pos < n
-      && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false)
-    do
-      advance ()
-    done
-  in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | Some c' -> fail (Printf.sprintf "expected %c, got %c" c c')
-    | None -> fail (Printf.sprintf "expected %c, got end of input" c)
-  in
-  let hex_digit c =
-    match c with '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true | _ -> false
-  in
-  let string_lit () =
-    expect '"';
-    let closed = ref false in
-    while not !closed do
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance (); closed := true
-      | Some '\\' -> (
-          advance ();
-          match peek () with
-          | Some ('"' | '\\' | '/' | 'b' | 'f' | 'n' | 'r' | 't') -> advance ()
-          | Some 'u' ->
-              advance ();
-              for _ = 1 to 4 do
-                match peek () with
-                | Some c when hex_digit c -> advance ()
-                | _ -> fail "bad \\u escape"
-              done
-          | _ -> fail "bad escape")
-      | Some c when Char.code c < 0x20 -> fail "control character in string"
-      | Some _ -> advance ()
-    done
-  in
-  let number () =
-    (match peek () with Some '-' -> advance () | _ -> ());
-    (match peek () with
-    | Some '0' -> advance ()
-    | Some '1' .. '9' ->
-        while (match peek () with Some '0' .. '9' -> true | _ -> false) do
-          advance ()
-        done
-    | _ -> fail "bad number");
-    (match peek () with
-    | Some '.' ->
-        advance ();
-        (match peek () with
-        | Some '0' .. '9' -> ()
-        | _ -> fail "bad fraction");
-        while (match peek () with Some '0' .. '9' -> true | _ -> false) do
-          advance ()
-        done
-    | _ -> ());
-    match peek () with
-    | Some ('e' | 'E') ->
-        advance ();
-        (match peek () with Some ('+' | '-') -> advance () | _ -> ());
-        (match peek () with
-        | Some '0' .. '9' -> ()
-        | _ -> fail "bad exponent");
-        while (match peek () with Some '0' .. '9' -> true | _ -> false) do
-          advance ()
-        done
-    | _ -> ()
-  in
-  let literal lit =
-    if !pos + String.length lit <= n && String.sub s !pos (String.length lit) = lit
-    then pos := !pos + String.length lit
-    else fail ("expected " ^ lit)
-  in
-  let rec value () =
-    skip_ws ();
-    match peek () with
-    | Some '"' -> string_lit ()
-    | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then advance ()
-        else begin
-          let more = ref true in
-          while !more do
-            skip_ws ();
-            string_lit ();
-            skip_ws ();
-            expect ':';
-            value ();
-            skip_ws ();
-            match peek () with
-            | Some ',' -> advance ()
-            | Some '}' -> advance (); more := false
-            | _ -> fail "expected , or } in object"
-          done
-        end
-    | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then advance ()
-        else begin
-          let more = ref true in
-          while !more do
-            value ();
-            skip_ws ();
-            match peek () with
-            | Some ',' -> advance ()
-            | Some ']' -> advance (); more := false
-            | _ -> fail "expected , or ] in array"
-          done
-        end
-    | Some ('t' | 'f') -> if s.[!pos] = 't' then literal "true" else literal "false"
-    | Some 'n' -> literal "null"
-    | Some ('-' | '0' .. '9') -> number ()
-    | Some c -> fail (Printf.sprintf "unexpected character %c" c)
-    | None -> fail "unexpected end of input"
-  in
-  match
-    value ();
-    skip_ws ();
-    if !pos <> n then fail "trailing garbage"
-  with
-  | () -> Ok ()
-  | exception Bad e -> Error e
+let check (s : string) : (unit, error) result = Result.map ignore (Json.decode s)

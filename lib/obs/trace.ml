@@ -49,20 +49,6 @@ let first_divergence a b =
    microseconds — Perfetto has no notion of cycles, and 1 cycle = 1 us
    keeps the timeline readable. *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let write_chrome ?(pid = 0) ?name buf events =
   let first = ref true in
   let item fmt =
@@ -74,7 +60,7 @@ let write_chrome ?(pid = 0) ?name buf events =
   | Some n ->
       item
         "{\"ph\":\"M\",\"pid\":%d,\"name\":\"process_name\",\"args\":{\"name\":\"%s\"}}"
-        pid (json_escape n)
+        pid (Json.escape n)
   | None -> ());
   (* open frames: seq -> (block, fid, dispatch cycle) *)
   let open_frames = Hashtbl.create 16 in
@@ -87,12 +73,12 @@ let write_chrome ?(pid = 0) ?name buf events =
           "{\"ph\":\"X\",\"pid\":%d,\"tid\":%d,\"ts\":%d,\"dur\":%d,\"name\":\"%s\",\"args\":{\"seq\":%d,\"end\":\"%s\"%s}}"
           pid fid t0
           (max 1 (cycle - t0))
-          (json_escape block) seq phase extra
+          (Json.escape block) seq phase extra
   in
   let instant ~cycle ~tid ~nm ~extra =
     item
       "{\"ph\":\"i\",\"s\":\"t\",\"pid\":%d,\"tid\":%d,\"ts\":%d,\"name\":\"%s\"%s}"
-      pid tid cycle (json_escape nm) extra
+      pid tid cycle (Json.escape nm) extra
   in
   List.iter
     (fun (e : Event.t) ->
@@ -111,13 +97,13 @@ let write_chrome ?(pid = 0) ?name buf events =
             instant ~cycle ~tid:90 ~nm:("mispredict " ^ block)
               ~extra:
                 (Printf.sprintf ",\"args\":{\"seq\":%d,\"target\":\"%s\"}" seq
-                   (json_escape target))
+                   (Json.escape target))
       | Event.Issue { cycle; block; seq; id; op; tile } ->
           instant ~cycle ~tid:(100 + tile) ~nm:op
             ~extra:
               (Printf.sprintf
                  ",\"args\":{\"block\":\"%s\",\"seq\":%d,\"id\":%d}"
-                 (json_escape block) seq id)
+                 (Json.escape block) seq id)
       | Event.Token { cycle; seq; dst; null; pred; _ } ->
           if null || pred then
             instant ~cycle ~tid:91

@@ -14,12 +14,11 @@ val run :
   ?machine:Machine.t ->
   ?placement:Cycle_sim.placement_fn ->
   ?obs:Edge_obs.Obs.t ->
-  ?arena:bool ->
   Edge_isa.Program.t ->
   regs:int64 array ->
   mem:Edge_isa.Mem.t ->
   (Stats.t, string) result
-(** Same contract as {!Cycle_sim.run}. [placement] and [arena] are
-    meaningful only for the grid backend; the in-order core is
-    centralized and ignores them. [machine] defaults to
+(** Same contract as {!Cycle_sim.run}. [placement] is meaningful only
+    for the grid backend; the in-order core is centralized and ignores
+    it. [machine] defaults to
     {!Machine.default}. *)

@@ -56,10 +56,8 @@ type binfo = {
   n_lines : int;  (* I-cache lines fetched per dispatch *)
 }
 
-(* All frame arrays are capacity arrays when the arena is on: sized for
-   the largest block in the program and recycled across block
-   instances, with only the prefix covering the current block live.
-   Every iteration over them is bounded by the image's counts. *)
+(* one in-flight block instance; its arrays are freshly allocated at
+   dispatch, sized for its block *)
 type frame = {
   fid : int;
   gen : int;
@@ -90,20 +88,6 @@ type frame = {
   mutable complete : bool;
   dispatched_at : int;
   probe : probe option;
-}
-
-(* the recyclable arrays of one frame slot *)
-type bufs = {
-  b_left : Token.t option array;
-  b_right : Token.t option array;
-  b_pred_matched : bool array;
-  b_pred_exc : bool array;
-  b_fired : bool array;
-  b_queued : bool array;
-  b_stores : store_res array;
-  b_writes : Token.t option array;
-  b_write_subs : (int * int * int) list array;
-  b_probe : int array;
 }
 
 type fetch_state =
@@ -184,9 +168,6 @@ type sim = {
          load waits only for the stores it was caught violating
          against *)
   dep_cross : bool array;  (* conflicts with older frames? *)
-  arena : bufs array;  (* per frame slot; [||] when the arena is off *)
-  arena_on : bool;
-  arena_debug : bool;  (* cross-check cleared prefixes vs fresh arrays *)
   frames : frame option array;
   mutable live_cache : frame list;  (* live frames sorted by seq *)
   mutable live_dirty : bool;  (* [frames] changed since [live_cache] was built *)
@@ -1164,35 +1145,6 @@ let fire sim f id =
           ebtgt = None;
         }
 
-(* the arena-debug invariant: a recycled prefix must be
-   indistinguishable from freshly allocated arrays — catches a clear
-   that goes missing or is mis-bounded when frame state evolves *)
-let check_cleared f =
-  let n = f.bi.img.Bi.n in
-  let ok = ref true in
-  for i = 0 to n - 1 do
-    if
-      f.left.(i) <> None || f.right.(i) <> None || f.pred_matched.(i)
-      || f.pred_exc.(i) || f.fired.(i) || f.queued.(i)
-    then ok := false
-  done;
-  for k = 0 to f.bi.img.Bi.n_stores - 1 do
-    if f.stores.(k) <> Unresolved then ok := false
-  done;
-  for w = 0 to f.bi.img.Bi.n_writes - 1 do
-    if f.writes.(w) <> None then ok := false
-  done;
-  for w = 0 to max 1 f.bi.img.Bi.n_writes - 1 do
-    if f.write_subs.(w) <> [] then ok := false
-  done;
-  (match f.probe with
-  | Some p ->
-      for i = 0 to max 1 n - 1 do
-        if p.pred_arrivals.(i) <> 0 then ok := false
-      done
-  | None -> ());
-  if not !ok then failm "%s: arena frame not cleared" f.bi.img.Bi.name
-
 (* dispatch a fetched block into a free frame slot *)
 let dispatch sim idx =
   let fid =
@@ -1208,46 +1160,21 @@ let dispatch sim idx =
   let n = img.Bi.n in
   let n_writes = img.Bi.n_writes in
   let n_stores = img.Bi.n_stores in
-  let left, right, pred_matched, pred_exc, fired, queued, stores, writes,
-      write_subs, parr =
-    if sim.arena_on then begin
-      let b = sim.arena.(fid) in
-      Array.fill b.b_left 0 n None;
-      Array.fill b.b_right 0 n None;
-      Array.fill b.b_pred_matched 0 n false;
-      Array.fill b.b_pred_exc 0 n false;
-      Array.fill b.b_fired 0 n false;
-      Array.fill b.b_queued 0 n false;
-      Array.fill b.b_stores 0 n_stores Unresolved;
-      Array.fill b.b_writes 0 n_writes None;
-      Array.fill b.b_write_subs 0 (max 1 n_writes) [];
-      if sim.oactive then Array.fill b.b_probe 0 (max 1 n) 0;
-      ( b.b_left, b.b_right, b.b_pred_matched, b.b_pred_exc, b.b_fired,
-        b.b_queued, b.b_stores, b.b_writes, b.b_write_subs, b.b_probe )
-    end
-    else
-      ( Array.make n None, Array.make n None, Array.make n false,
-        Array.make n false, Array.make n false, Array.make n false,
-        Array.make n_stores Unresolved,
-        Array.make n_writes None,
-        Array.make (max 1 n_writes) [],
-        Array.make (max 1 n) 0 )
-  in
   let f =
     {
       fid;
       gen = sim.next_gen;
       seq = sim.next_seq;
       bi;
-      left;
-      right;
-      pred_matched;
-      pred_exc;
-      fired;
-      queued;
-      stores;
-      writes;
-      write_subs;
+      left = Array.make n None;
+      right = Array.make n None;
+      pred_matched = Array.make n false;
+      pred_exc = Array.make n false;
+      fired = Array.make n false;
+      queued = Array.make n false;
+      stores = Array.make n_stores Unresolved;
+      writes = Array.make n_writes None;
+      write_subs = Array.make (max 1 n_writes) [];
       branch = None;
       predicted_next = None;
       prediction_checked = false;
@@ -1261,11 +1188,11 @@ let dispatch sim idx =
       complete = false;
       dispatched_at = sim.cycle;
       probe =
-        (if sim.oactive then Some { pred_arrivals = parr; null_tokens = 0 }
+        (if sim.oactive then
+           Some { pred_arrivals = Array.make (max 1 n) 0; null_tokens = 0 }
          else None);
     }
   in
-  if sim.arena_debug && sim.arena_on then check_cleared f;
   sim.next_seq <- sim.next_seq + 1;
   sim.next_gen <- sim.next_gen + 1;
   sim.unres_total <- sim.unres_total + n_stores;
@@ -1463,25 +1390,8 @@ let next_interesting_cycle sim =
     if best = max_int then -1 else best
   end
 
-let make_bufs img =
-  let n = max 1 img.Bi.max_n in
-  let nw = max 1 img.Bi.max_writes in
-  let ns = img.Bi.max_stores in
-  {
-    b_left = Array.make n None;
-    b_right = Array.make n None;
-    b_pred_matched = Array.make n false;
-    b_pred_exc = Array.make n false;
-    b_fired = Array.make n false;
-    b_queued = Array.make n false;
-    b_stores = Array.make (max 1 ns) Unresolved;
-    b_writes = Array.make nw None;
-    b_write_subs = Array.make nw [];
-    b_probe = Array.make n 0;
-  }
-
-let run ?(machine = Machine.default) ?placement ?(obs = Obs.null)
-    ?(arena = true) program ~regs ~mem =
+let run ?(machine = Machine.default) ?placement ?(obs = Obs.null) program
+    ~regs ~mem =
   let img = Bi.of_program program in
   let placement =
     match placement with
@@ -1529,12 +1439,6 @@ let run ?(machine = Machine.default) ?placement ?(obs = Obs.null)
       dep_stride;
       dep_same = Array.make (max 1 (n_blocks * dep_stride)) (-1);
       dep_cross = Array.make (max 1 (n_blocks * dep_stride)) false;
-      arena =
-        (if arena then
-           Array.init machine.Machine.max_inflight (fun _ -> make_bufs img)
-         else [||]);
-      arena_on = arena;
-      arena_debug = Sys.getenv_opt "DFP_ARENA_DEBUG" <> None;
       frames = Array.make machine.Machine.max_inflight None;
       live_cache = [];
       live_dirty = false;

@@ -26,7 +26,6 @@ val run :
   ?machine:Machine.t ->
   ?placement:placement_fn ->
   ?obs:Edge_obs.Obs.t ->
-  ?arena:bool ->
   Edge_isa.Program.t ->
   regs:int64 array ->
   mem:Edge_isa.Mem.t ->
@@ -42,9 +41,5 @@ val run :
     instrumentation site reduces to a dead branch, so the uninstrumented
     fast path is unchanged.
 
-    [arena] (default [true]) recycles per-frame operand/state arrays
-    across block instances instead of allocating them per dispatch;
-    results are identical either way (the [DFP_ARENA_DEBUG] environment
-    variable additionally asserts each recycled frame prefix is
-    indistinguishable from fresh arrays). Pass [false] to force fresh
-    allocation, e.g. for differential testing of the arena itself. *)
+    Each dispatched block instance gets freshly allocated operand and
+    state arrays sized for its block. *)

@@ -13,10 +13,9 @@
 
    Two extra cases cover the corners the sweep misses: a hand-built
    block whose entry fanout overflows the interpreter's pending-token
-   FIFO ring (initial capacity 64, must grow), and a
-   [DFP_ARENA_DEBUG] cycle-simulator run with the JIT enabled, so the
-   arena cross-check and the JIT'd functional verification are
-   exercised together. *)
+   FIFO ring (initial capacity 64, must grow), and a cycle-simulator
+   run of every corpus kernel checked against the JIT'd functional
+   run. *)
 
 module Fz = Edge_fuzz
 module Conv = Edge_isa.Conventions
@@ -88,8 +87,7 @@ let corpus_case (name, src) =
       | Error e -> Alcotest.failf "%s: parse: %s" name e
       | Ok ast -> check_kernel ~label:name ast)
 
-(* seeds far from test_diff's (1..), test_fuzz's (10_000..) and
-   test_arena's (20_000..) *)
+(* seeds far from test_diff's (1..) and test_fuzz's (10_000..) *)
 let generated () =
   for i = 0 to 49 do
     let seed = 30_000 + i in
@@ -174,14 +172,10 @@ let wide_fanout () =
   Alcotest.(check int64) "seed write committed" 5L iregs.(64 + 31);
   Alcotest.(check int64) "store committed" 128L (Edge_isa.Mem.load_int imem 128)
 
-(* Arena cross-check and JIT together: DFP_ARENA_DEBUG makes the cycle
-   simulator assert each recycled frame prefix is indistinguishable
-   from fresh arrays, and the JIT'd functional run provides the
-   architectural reference. Registered last in the suite: putenv has
-   no portable inverse, so the flag stays set for the rest of the
-   process (it only adds assertions). *)
-let arena_debug_cross_check () =
-  Unix.putenv "DFP_ARENA_DEBUG" "1";
+(* The cycle simulator against the JIT: the JIT'd functional run
+   provides the architectural reference for the cycle-simulated
+   return value and memory image. *)
+let cycle_vs_jit_cross_check () =
   Alcotest.(check bool) "jit is the default" true
     (Edge_sim.Functional.jit_enabled ());
   List.iter
@@ -230,6 +224,6 @@ let tests =
   @ [
       Alcotest.test_case "jit 50 fixed seeds" `Quick generated;
       Alcotest.test_case "wide fanout grows the token ring" `Quick wide_fanout;
-      Alcotest.test_case "arena debug cross-check with jit" `Quick
-        arena_debug_cross_check;
+      Alcotest.test_case "cycle sim vs jit cross-check" `Quick
+        cycle_vs_jit_cross_check;
     ]

@@ -17,7 +17,7 @@
 
 module M = Edge_sim.Machine
 module Proto = Edge_serve.Proto
-module Json = Edge_serve.Json
+module Json = Edge_obs.Json
 
 (* -- a generator of legal machine descriptions --------------------- *)
 

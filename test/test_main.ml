@@ -18,9 +18,7 @@ let () =
       ("serve", Test_serve.tests);
       ("diff", Test_diff.tests);
       ("fuzz", Test_fuzz.tests);
-      ("arena", Test_arena.tests);
       ("obs", Test_obs.tests);
       ("check", Test_check.tests);
-      (* last: leaves DFP_ARENA_DEBUG set for the process *)
       ("jit", Test_jit.tests);
     ]

@@ -415,7 +415,16 @@ let json_lint_unit () =
   bad "{\"a\":}";
   bad "[1] trailing";
   bad "\"unterminated";
-  bad "01"
+  bad "01";
+  (* a Chrome export of a block whose name needs escaping *)
+  let block = "b\"q\\t\tr\r" in
+  ok
+    (Edge_obs.Trace.chrome_to_string ~name:block
+       [
+         Edge_obs.Event.Dispatch { cycle = 0; block; seq = 0; fid = 0; instrs = 1 };
+         Edge_obs.Event.Commit
+           { cycle = 3; block; seq = 0; instrs = 1; nulls = 0; orphans = 0; occupancy = 3 };
+       ])
 
 let divergence_unit () =
   Alcotest.(check (option (triple int string string)))

@@ -6,7 +6,7 @@
    Servers bind relative socket paths, which the dune sandbox keeps
    private to this test run (and short enough for sun_path). *)
 
-module Json = Edge_serve.Json
+module Json = Edge_obs.Json
 module Proto = Edge_serve.Proto
 module Server = Edge_serve.Server
 module Client = Edge_serve.Client
@@ -56,7 +56,22 @@ let json_roundtrip () =
       match Json.parse s with
       | Ok _ -> Alcotest.failf "%S should not parse" s
       | Error _ -> ())
-    [ ""; "{"; "[1,"; "nul"; "{\"a\"}"; "\"\\x\""; "1 2"; "{'a':1}" ]
+    [
+      ""; "{"; "[1,"; "nul"; "{\"a\"}"; "\"\\x\""; "1 2"; "{'a':1}";
+      (* RFC 8259 numbers: no leading zeros, no empty fraction *)
+      "01"; "-01"; "00"; "1."; "1.e5";
+      (* unpaired surrogates *)
+      "\"\\ud83d\""; "\"\\ude00\""; "\"\\ud83d\\u0041\"";
+    ];
+  (* a surrogate pair is one 4-byte UTF-8 sequence, and every ASCII byte
+     survives print -> parse *)
+  Alcotest.(check bool)
+    "surrogate pair" true
+    (Json.parse "\"\\ud83d\\ude00\"" = Ok (Json.Str "\xf0\x9f\x98\x80"));
+  let ascii = Json.Str (String.init 0x80 Char.chr) in
+  Alcotest.(check bool)
+    "ASCII round-trip" true
+    (Json.parse (Json.to_string ascii) = Ok ascii)
 
 let proto_parse () =
   (match Proto.parse_request "{\"id\":\"x\",\"workload\":\"w\",\"config\":\"Both\"}" with
