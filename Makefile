@@ -18,7 +18,7 @@ check:
 	dune build @all && dune runtest && $(MAKE) fuzz-smoke && $(MAKE) matrix-smoke \
 	&& $(MAKE) check-smoke && $(MAKE) analyze-smoke \
 	&& $(MAKE) trace-smoke && $(MAKE) jit-smoke && $(MAKE) perf-smoke \
-	&& $(MAKE) serve-smoke && $(MAKE) serve-scale-smoke \
+	&& $(MAKE) serve-smoke && $(MAKE) serve-scale-smoke && $(MAKE) cross-cache-smoke \
 	&& $(MAKE) bench-compare BASE=BENCH_fig7.json NEW=BENCH_fig7.json \
 	&& $(MAKE) bench-compare BASE=BENCH_serve.json NEW=BENCH_serve.json \
 	&& $(MAKE) perfbench-smoke
@@ -134,8 +134,10 @@ serve-bench: build
 perfbench-smoke:
 	python3 perfbench/run.py --self-test
 
-# two dfpd processes sharing one --cache-dir: the second must warm-hit
-# the first's results with zero decode errors and no torn reads
+# two dfpd processes sharing one --cache-dir: the first is killed with
+# SIGKILL after its cold pass, and the second must still warm-hit every
+# result it answered, with zero decode errors, no torn reads and no
+# leftover temp files
 cross-cache-smoke: build
 	./_build/default/bin/serve_bench.exe --cross-cache
 

@@ -2,8 +2,10 @@
 
    Listens on a Unix socket for newline-delimited JSON jobs (see
    lib/serve/proto.ml and README "The job server"), schedules them
-   across a domain pool with single-flight dedup, and answers from the
-   sharded disk cache when it can.
+   across a domain pool with single-flight dedup. Repeats are answered
+   from an in-memory fast path, first-time jobs from the sharded disk
+   cache when it can. A computed result is on disk before its "done"
+   is sent, so even SIGKILL loses no answered result.
 
      dfpd --socket /tmp/dfpd.sock -j 4 --cache-dir /tmp/dfpd-cache
 
@@ -27,13 +29,10 @@ let () =
       ("--cache-dir", Arg.Set_string cache_dir, "DIR persistent result cache (default: no cache)");
       ( "--cache-max-mb",
         Arg.Set_int cache_max_mb,
-        "MB evict the cache down to this size (default: uncapped)" );
+        "MB disk cache size cap (default: uncapped)" );
       ( "--mem-entries",
         Arg.Set_int mem_entries,
-        "N in-memory result cache entries (default 4096)" );
-      ( "--no-mem-cache",
-        Arg.Unit (fun () -> mem_entries := 0),
-        " disable the in-memory result cache (and the warm fast path)" );
+        "N warm fast-path cache entries; 0 disables it (default 4096)" );
       ( "--max-cycles",
         Arg.Set_int max_cycles,
         "N watchdog ceiling for submitted-source jobs (default 10M)" );
@@ -51,7 +50,7 @@ let () =
            ?max_bytes:
              (if !cache_max_mb > 0 then Some (!cache_max_mb * 1024 * 1024)
               else None)
-           ~writeback:true ~dir:!cache_dir ())
+           ~dir:!cache_dir ())
   in
   let cfg =
     {

@@ -32,12 +32,13 @@
    cold -j1 (cold is concurrency-1 and must be j-independent; the
    tolerance absorbs timer noise on a loaded host).
 
-   Cross-cache mode (--cross-cache) points two dfpd processes at ONE
-   shared --cache-dir: A populates it cold, a fresh B must answer the
-   same jobs warm from disk with equal digests and zero decode
-   errors, then both processes race an overlapping cold spec set into
-   the directory concurrently — atomic tmp+rename stores mean neither
-   may ever see a torn read.
+   Cross-cache mode (--cross-cache, wired into `make check` as
+   cross-cache-smoke) points two dfpd processes at ONE shared
+   --cache-dir: A populates it cold and is then killed with SIGKILL, a
+   fresh B must answer the same jobs warm from disk with equal digests
+   and zero decode errors, then both processes race an overlapping
+   cold spec set into the directory concurrently — atomic tmp+rename
+   stores mean neither may ever see a torn read.
 
    Smoke mode (--smoke, wired into `make check` as serve-smoke) runs a
    ~20-job mixed battery against a spawned server — cold and warm
@@ -87,6 +88,12 @@ let spawn_server ~socket ~cache_dir ~j =
   let pid = Unix.create_process exe args Unix.stdin Unix.stdout Unix.stderr in
   live_children := pid :: !live_children;
   pid
+
+(* the crash path: no shutdown request, no chance to flush *)
+let kill_server pid =
+  live_children := List.filter (fun p -> p <> pid) !live_children;
+  (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+  try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ()
 
 let shutdown_server ~socket pid =
   (match Client.connect_retry ~attempts:20 socket with
@@ -728,9 +735,10 @@ let count_tmp_files dir =
   walk dir;
   !n
 
-(* two dfpd processes sharing one --cache-dir: A populates it cold, a
-   fresh B answers the same jobs warm from A's on-disk entries, then
-   both race an overlapping cold spec set into the directory at once.
+(* two dfpd processes sharing one --cache-dir: A populates it cold and
+   is killed without a chance to flush anything, a fresh B answers the
+   same jobs warm from A's on-disk entries, then both race an
+   overlapping cold spec set into the directory at once.
    Atomic tmp+rename stores and digest-checked reads mean zero decode
    errors and no torn reads in any phase. *)
 let run_cross_cache () =
@@ -753,8 +761,11 @@ let run_cross_cache () =
       if counter st_a "cache_errors" <> 0 then
         die "process A saw %d cache decode errors"
           (counter st_a "cache_errors");
-      (* shutdown drains A's writeback queue: every entry is durable *)
-      shutdown_server ~socket:sock_a pid_a;
+      (* an answered job is already on disk, so SIGKILL loses nothing
+         and leaves no half-written entry behind *)
+      kill_server pid_a;
+      let tmp = count_tmp_files cache_dir in
+      if tmp <> 0 then die "killed process A left %d cache temp file(s)" tmp;
       (* phase 2: a fresh B must answer warm from A's entries *)
       let sock_b = Filename.concat cache_dir "b.sock" in
       let pid_b = spawn_server ~socket:sock_b ~cache_dir ~j:2 in

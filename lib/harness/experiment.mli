@@ -41,8 +41,6 @@ val run_one :
   ?obs:Edge_obs.Obs.t ->
   ?interp_fuel:int ->
   ?cache:Edge_parallel.Disk_cache.t ->
-  ?mem:run Edge_parallel.Mem_cache.t ->
-  ?async_store:bool ->
   ?lint:(Dfp.Opt_ineff.finding -> unit) ->
   Edge_workloads.Workload.t ->
   string * Dfp.Config.t ->
@@ -65,20 +63,13 @@ val run_one :
     with an [obs] attached or with the static checker enabled
     ({!Edge_check.Check.enabled}) bypass the cache
     (the caller wants a real, verified run); errors are never
-    cached.
-
-    [mem] layers a sharded in-memory result cache in front of [cache]
-    (same keys): a warm hit costs one stripe probe — no filesystem, no
-    unmarshalling — and a disk hit is promoted into the mem layer. The
-    bypass rules above apply to both layers. [async_store] (default
-    [false]) hands the disk store to the cache's writeback thread (see
-    {!Edge_parallel.Disk_cache.store_async}) so the computing domain
-    never blocks on the filesystem.
+    cached. A computed result is stored synchronously: when [run_one]
+    returns, its entry is already on disk.
 
     [lint] compiles in ineffectuality-report mode (findings streamed to
     the callback, deletion suppressed — see {!Dfp.Driver.compile_cfg})
-    and simulates that artifact. Lint runs bypass both cache layers and
-    the compile memo: the artifact is not the one a normal compile
+    and simulates that artifact. Lint runs bypass the cache and the
+    compile memo: the artifact is not the one a normal compile
     produces. *)
 
 val run_precompiled :
@@ -86,8 +77,6 @@ val run_precompiled :
   ?obs:Edge_obs.Obs.t ->
   ?interp_fuel:int ->
   ?cache:Edge_parallel.Disk_cache.t ->
-  ?mem:run Edge_parallel.Mem_cache.t ->
-  ?async_store:bool ->
   image_digest:string ->
   Edge_workloads.Workload.t ->
   string * Dfp.Config.t ->

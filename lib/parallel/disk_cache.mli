@@ -16,10 +16,12 @@
     writers (parallel sweep domains, the serve front door, or two
     processes sharing a cache dir) last-writer-wins safe.
 
-    With [max_bytes] set, every store that pushes the cache over the
-    cap triggers mtime-ordered ("LRU-ish": hits refresh mtimes)
-    eviction down to the cap, never deleting the entry just written —
-    so disk usage is bounded by [max_bytes] plus one entry. Eviction
+    With [max_bytes] set, a store that pushes the cache over the cap
+    triggers mtime-ordered ("LRU-ish": hits refresh mtimes) eviction
+    down to three quarters of the cap, never deleting the entry just
+    written — so disk usage is bounded by [max_bytes] plus one entry,
+    and only about one store in every quarter-cap of bytes pays for
+    the directory scan. Eviction
     is a bare unlink and therefore safe against concurrent readers: a
     reader that won the [open] race keeps its bytes, one that lost
     gets a clean miss, never a torn read. *)
@@ -29,7 +31,6 @@ type t
 val create :
   ?max_bytes:int ->
   ?tmp_max_age_s:float ->
-  ?writeback:bool ->
   dir:string ->
   unit ->
   t
@@ -41,12 +42,7 @@ val create :
     see the eviction contract above. Opening also sweeps temp files
     abandoned by writers that died between write and rename: any
     [*.tmp.*] file older than [tmp_max_age_s] seconds (default 600) is
-    removed, younger ones are left for their (possibly live) writer.
-
-    [writeback] (default [false]) spawns a writeback thread on the
-    calling thread's domain, enabling {!store_async}; create with
-    [writeback:true] from a long-lived context (e.g. a server's main
-    thread), because the thread lives until the process exits. *)
+    removed, younger ones are left for their (possibly live) writer. *)
 
 val dir : t -> string
 
@@ -59,23 +55,10 @@ val find : t -> key:string -> 'a option
 
 val store : t -> key:string -> 'a -> unit
 (** Atomically persist a value for [key], replacing any previous
-    entry, then evict down to [max_bytes] if the store overflowed the
-    cap. I/O errors are swallowed (counted in [errors]): a read-only
-    cache dir degrades to a no-op cache. *)
-
-val store_async : t -> key:string -> 'a -> unit
-(** Like {!store}, but hands the marshal + write to the writeback
-    thread so the calling (worker) domain never blocks on the
-    filesystem. Degrades to a synchronous {!store} when the cache was
-    opened without [writeback:true], or when the writeback queue is
-    full (bounded at 256 entries; counted in [async_fallbacks]).
-    Visibility: the entry lands on disk at some point after this call
-    returns — call {!drain} before depending on it. *)
-
-val drain : t -> unit
-(** Block until every store queued via {!store_async} has been written
-    to disk. No-op without a writeback thread. Call before process
-    exit so accepted results are never lost. *)
+    entry, then evict if the store overflowed [max_bytes]. When it
+    returns the entry has been renamed into place, so a process killed
+    afterwards cannot lose it. I/O errors are swallowed (counted in
+    [errors]): a read-only cache dir degrades to a no-op cache. *)
 
 val remove : t -> key:string -> unit
 
@@ -95,10 +78,6 @@ val evictions : t -> int
 (** Entries deleted by the size-cap eviction path. *)
 
 val stores : t -> int
-
-val async_fallbacks : t -> int
-(** {!store_async} calls that fell back to a synchronous store because
-    the writeback queue was full. *)
 
 val tmp_swept : t -> int
 (** Stale temp files removed when this handle opened the directory. *)

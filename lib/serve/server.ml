@@ -34,8 +34,8 @@ type config = {
   queue_cap : int;  (** pending (not-yet-running) job bound *)
   cache : Disk_cache.t option;
   mem_entries : int;
-      (** in-memory result cache entry cap; [0] disables the cache
-          (and with it the reader-thread warm fast path) *)
+      (** entry cap of the reader-thread fast-path cache; [0] disables
+          it, and every job then goes to a worker *)
   max_cycles : int;  (** watchdog ceiling for source jobs *)
   interp_fuel : int;  (** reference-interpreter bound for source jobs *)
   retry_after_ms : int;  (** hint attached to queue-full rejections *)
@@ -108,7 +108,7 @@ type stats = {
   protocol_errors : int Atomic.t;
   trace_events : int Atomic.t;
   fast_hits : int Atomic.t;
-      (* jobs answered by the reader thread from the mem cache,
+      (* jobs answered by the reader thread from the fast-path cache,
          without touching the queue, the in-flight table or a worker *)
   batches : int Atomic.t;
 }
@@ -119,15 +119,13 @@ type t = {
   queue : entry Queue.t;
   mu : Mutex.t;
   inflight : (string, entry) Hashtbl.t;  (* digest -> entry, mu-guarded *)
-  mem : Experiment.run Mem_cache.t option;
-      (* in-memory result cache layered in front of the disk cache by
-         the workers' run_one/run_precompiled calls (Experiment cache
-         keys) *)
   fast : (string * string) Mem_cache.t option;
-      (* the reader-thread fast path, keyed "job:<job digest>": the
-         fully rendered (accepted, done) response pair (sans ids), so
-         a hit costs one stripe probe and two id splices — no Marshal,
-         no MD5, no JSON building *)
+      (* the one in-memory result cache: the reader-thread fast path,
+         keyed "job:<job digest>", holding the fully rendered
+         (accepted, done) response pair (sans ids), so a hit costs one
+         stripe probe and two id splices — no Marshal, no MD5, no JSON
+         building. A miss goes to a worker, which answers from the
+         disk cache or computes and stores there before replying. *)
   mutable closing : bool;
   shutdown_req : bool Atomic.t;
   stats : stats;
@@ -306,14 +304,13 @@ let execute t (e : entry) ~(emit : Json.t -> unit) :
           match image with
           | None ->
               Experiment.run_one ?machine ?obs ?interp_fuel
-                ?cache:t.cfg.cache ?mem:t.mem ~async_store:true ?lint w
-                (spec.config, config)
+                ?cache:t.cfg.cache ?lint w (spec.config, config)
           | Some _ when spec.lint ->
               Error "lint applies to compiled-from-source jobs, not images"
           | Some (compiled, image_digest) ->
               Experiment.run_precompiled ?machine ?obs ?interp_fuel
-                ?cache:t.cfg.cache ?mem:t.mem ~async_store:true
-                ~image_digest w (spec.config, config) compiled
+                ?cache:t.cfg.cache ~image_digest w (spec.config, config)
+                compiled
         with exn -> Error ("exception: " ^ Printexc.to_string exn)
       in
       finish_obs ();
@@ -459,7 +456,7 @@ let stats_response t =
         ]
   in
   let mem =
-    match t.mem with
+    match t.fast with
     | None -> []
     | Some m ->
         [
@@ -489,7 +486,7 @@ let publish t (m : Metrics.t) =
   Mutex.lock t.stage_mu;
   Metrics.merge ~into:m t.stage_metrics;
   Mutex.unlock t.stage_mu;
-  (match t.mem with None -> () | Some mc -> Mem_cache.publish mc m);
+  (match t.fast with None -> () | Some f -> Mem_cache.publish f m);
   match t.cfg.cache with None -> () | Some c -> Disk_cache.publish c m
 
 (* splice a request id in as the first field of a pre-rendered
@@ -515,9 +512,9 @@ let with_id id line =
    answer those jobs get). *)
 let submit t conn id (spec : Proto.job_spec) ~ack ~(out : string -> unit) =
   let digest = Proto.job_digest spec in
-  (* warm fast path: a known result is answered from the mem cache by
-     the reader thread itself — no queue, no in-flight table, no
-     worker wakeup, no disk. Trace jobs always execute for real. *)
+  (* warm fast path: a known result is answered from the fast-path
+     cache by the reader thread itself — no queue, no in-flight table,
+     no worker wakeup, no disk. Trace jobs always execute for real. *)
   let fast =
     if spec.trace || spec.lint then None
     else
@@ -697,10 +694,6 @@ let start (cfg : config) : t =
       queue = Queue.create ();
       mu = Mutex.create ();
       inflight = Hashtbl.create 64;
-      mem =
-        (if cfg.mem_entries > 0 then
-           Some (Mem_cache.create ~max_entries:cfg.mem_entries ())
-         else None);
       fast =
         (if cfg.mem_entries > 0 then
            Some (Mem_cache.create ~max_entries:cfg.mem_entries ())
@@ -801,9 +794,6 @@ let stop t =
     List.iter Thread.join threads;
     Mutex.protect t.mu (fun () -> t.conn_threads <- []);
     (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
-    (* every result accepted before shutdown must be on disk before
-       the process exits *)
-    (match t.cfg.cache with Some c -> Disk_cache.drain c | None -> ());
     if Sys.file_exists t.cfg.socket_path then
       try Sys.remove t.cfg.socket_path with Sys_error _ -> ()
   end

@@ -758,6 +758,49 @@ let fast_path_stats () =
       Client.close c
   | Error e -> Alcotest.fail e
 
+(* a worker sends "done" only after its disk store has renamed the
+   entry into place: a second handle opened the moment the answer
+   arrives, with the server still running, finds it, and a second
+   server on the same directory answers the job warm *)
+let answered_means_persisted () =
+  Edge_check.Check.without_check @@ fun () ->
+  let dir = Test_support.Tmpdir.path "srv_persist.cache" in
+  let workload = "tblook01" and config = "Both" in
+  let job = Client.workload_job ~workload ~config () in
+  let cold =
+    with_server ~cache:(Disk_cache.create ~dir ()) ~jobs:1 "srv_persist"
+    @@ fun _srv ->
+    let c = Client.connect "srv_persist.sock" in
+    let v = run_ok c job in
+    let key =
+      Experiment.cache_key
+        (Option.get (Edge_workloads.Registry.find workload))
+        config
+        (Option.get (Server.find_config config))
+        Edge_sim.Machine.default
+    in
+    Alcotest.(check bool)
+      "entry on disk when done arrives" true
+      (Option.is_some
+         (Disk_cache.find (Disk_cache.create ~dir ()) ~key
+           : Experiment.run option));
+    Client.close c;
+    v
+  in
+  Alcotest.(check (option bool)) "first answer cold" (Some false)
+    (Json.bool_member "warm" cold);
+  with_server ~cache:(Disk_cache.create ~dir ()) ~jobs:1 "srv_persist2"
+  @@ fun _srv ->
+  let c = Client.connect "srv_persist2.sock" in
+  let warm = run_ok c job in
+  Alcotest.(check (option bool)) "restart answers warm" (Some true)
+    (Json.bool_member "warm" warm);
+  Alcotest.(check (option string))
+    "same run_digest"
+    (Json.str_member "run_digest" cold)
+    (Json.str_member "run_digest" warm);
+  Client.close c
+
 let tests =
   [
     Alcotest.test_case "json roundtrip" `Quick json_roundtrip;
@@ -776,4 +819,6 @@ let tests =
     Alcotest.test_case "batch requests" `Quick batch_requests;
     Alcotest.test_case "image jobs" `Quick image_jobs;
     Alcotest.test_case "fast-path stats" `Quick fast_path_stats;
+    Alcotest.test_case "answered means persisted" `Quick
+      answered_means_persisted;
   ]
