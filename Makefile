@@ -31,8 +31,9 @@ check-smoke: build
 
 # the ineffectuality lint gate: run the Psi-SSA analysis in lint mode
 # (report, don't delete) over the example kernels plus 50 fixed-seed
-# generated kernels; every finding is cross-validated against the
-# exhaustive path enumerator, so one false positive fails the run
+# generated kernels; every finding is re-proved by the gating model's
+# truth-table instance (every predicate assignment at once), so one
+# false positive fails the run
 analyze-smoke: build
 	dune exec bin/fuzz.exe -- --analyze-smoke examples/kernels -j 4
 

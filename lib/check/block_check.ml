@@ -76,9 +76,8 @@ let classify_structural msg =
 let classify_encoding msg =
   if contains msg "mov4" then Diag.Fanout else Diag.Encode
 
-(* structural and encodability checks, classified into invariants;
-   mirrors the fuzz validator's structural tier so the checker is
-   self-contained (lib/check cannot depend on lib/fuzz) *)
+(* structural and encodability checks, classified into invariants; the
+   fuzz validator reports the same tier by message *)
 let structural_diags ~pass (b : B.t) : Diag.t list =
   let diags = ref [] in
   let add where invariant msg =
@@ -333,16 +332,7 @@ let symbolic_diags ~pass (b : B.t) : outcome =
             Diag.make ~pass ~block:b.B.name ~where invariant msg :: !diags
         in
         let witness cond =
-          match Bdd.any_sat cond with
-          | None | Some [] -> ""
-          | Some pairs ->
-              Printf.sprintf " on path [%s]"
-                (String.concat " "
-                   (List.map
-                      (fun (v, value) ->
-                        Printf.sprintf "%s=%d" names_arr.(v)
-                          (if value then 1 else 0))
-                      pairs))
+          Edge_ir.Pgate.render_path names_arr (Bdd.any_sat cond)
         in
         (* pairwise intersection over delivery events *)
         let pairwise events on_clash =

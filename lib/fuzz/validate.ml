@@ -1,14 +1,14 @@
 (* Static validation of compiled artifacts against the paper's ISA
    invariants, beyond the structural checks in [Edge_isa.Block.validate]:
 
-   - structural well-formedness (delegated to Block/Program.validate):
-     instruction/read/write/LSID caps, 2-bit predicate-field legality,
-     target arity and range, every operand/output has a producer;
-   - binary encodability: every block body must survive an
-     encode/decode round trip bit-exactly (Figure 2 layout), which also
-     enforces the reserved-target rule (no consumer at I0's left
-     operand, whose encoding collides with "no target") and the 9-bit
-     immediate limit;
+   - structural well-formedness and binary encodability, the checker's
+     structural tier ([Edge_check.Block_check.structural_diags], whose
+     messages are reported as they are): Block.validate's caps,
+     predicate-field legality, target arity and range and producer
+     checks, then an encode/decode round trip of the block body
+     (Figure 2 layout), which also enforces the reserved-target rule
+     (no consumer at I0's left operand, whose encoding collides with
+     "no target") and the 9-bit immediate limit;
    - predicate-path completeness: enumerating the outcomes of the
      block's predicate sources, every path must produce a token
      (possibly null) for every write slot, resolve every declared store
@@ -29,46 +29,9 @@ module B = Edge_isa.Block
 module I = Edge_isa.Instr
 module O = Edge_isa.Opcode
 module T = Edge_isa.Target
-module E = Edge_isa.Encode
 module Gate = Edge_ir.Gate
 
 let default_max_vars = 11
-
-(* ---------- encode/decode round trip ---------- *)
-
-let roundtrip_errors (b : B.t) : string list =
-  let errs = ref [] in
-  let err fmt = Format.kasprintf (fun s -> errs := s :: !errs) fmt in
-  (* the reserved-target rule, checked explicitly for a clear message *)
-  let check_targets what targets =
-    List.iter
-      (function
-        | T.To_instr { id = 0; slot = T.Left } ->
-            err "%s targets I0's left operand (encodes as no-target)" what
-        | _ -> ())
-      targets
-  in
-  Array.iter
-    (fun (i : I.t) -> check_targets (Printf.sprintf "I%d" i.I.id) i.I.targets)
-    b.B.instrs;
-  (match E.encode_block_body b.B.instrs with
-  | Error e -> err "encode: %s" e
-  | Ok words -> (
-      match E.decode_block_body words with
-      | Error e -> err "decode: %s" e
-      | Ok instrs' ->
-          if Array.length instrs' <> Array.length b.B.instrs then
-            err "round trip changed instruction count: %d -> %d"
-              (Array.length b.B.instrs) (Array.length instrs')
-          else
-            Array.iteri
-              (fun idx (orig : I.t) ->
-                let dec = instrs'.(idx) in
-                if not (I.equal orig dec) then
-                  err "I%d does not round-trip: %a <> %a" idx I.pp orig I.pp
-                    dec)
-              b.B.instrs));
-  List.rev !errs
 
 (* ---------- predicate-path enumeration ---------- *)
 
@@ -289,13 +252,6 @@ let run_path (b : B.t) ~instr_value st =
       (Path_error
          (Printf.sprintf "block output starves; missing:%s" (Buffer.contents missing)))
 
-(* number of enumeration variables the block would need — the quantity
-   compared against [max_vars] *)
-let enum_vars (b : B.t) : int =
-  let rel = Gate.boolean_relevant b in
-  let _, _, k = Gate.variables b rel in
-  k
-
 (* Returns the path errors plus whether enumeration was skipped because
    the block needs more than [max_vars] variables (2^k paths). *)
 let path_errors ?(max_vars = default_max_vars) (b : B.t) :
@@ -357,10 +313,12 @@ let path_errors ?(max_vars = default_max_vars) (b : B.t) :
    variables) and only the structural/round-trip checks ran. *)
 let block ?max_vars (b : B.t) : (bool, string list) result =
   let structural =
-    match B.validate b with Ok () -> [] | Error es -> es
+    List.map
+      (fun d -> d.Edge_check.Diag.message)
+      (Edge_check.Block_check.structural_diags ~pass:"validate" b)
   in
   let path, skipped = path_errors ?max_vars b in
-  match structural @ roundtrip_errors b @ path with
+  match structural @ path with
   | [] -> Ok skipped
   | es -> Error es
 

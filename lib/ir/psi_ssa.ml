@@ -22,39 +22,24 @@
       which keeps the original name.  construct followed by destruct
       is the structural identity, which is exactly the invariant the
       checker round-trip property enforces.
-   3. the *ineffectuality analysis* — on top of the shared gating model
-      ([Pgate]), a backward fixpoint computing per def site the region
-      [eff(i)] of enumeration assignments on which the site's firing
-      can still contribute to a block obligation (a store, an explicit
-      null, a block output, or an exit decision).  A site with
-      [eff = False] is provably ineffectual: deleting it cannot change
-      any obligation on any path.  A guarded site whose unguarded fire
+   3. the *ineffectuality analysis* — the shared gating model's
+      backward effectuality fixpoint ([Pgate.effectual], where the
+      rules are written down) gives per def site the region [eff(i)]
+      of enumeration assignments on which the site's firing can still
+      contribute to a block obligation (a store, an explicit null, a
+      block output, or an exit decision).  A site with [eff = False]
+      is provably ineffectual: deleting it cannot change any
+      obligation on any path.  A guarded site whose unguarded fire
       region already equals its guarded one carries an ineffectual
       predicate delivery: the guard can be dropped (the BDD-implication
       generalization of opt_fanout's syntactic rule).
 
-   Effectuality rules (all intersected with the site's fire region,
-   so eff(i) <= e(i) always):
-
-     - obligation sites (Store, Null_write, Null_store), defs of block
-       output producers and defs of exit-guard predicates are roots:
-       eff(i) = e(i).  Exit feeders are fully live because the branch
-       partition must be preserved bit-for-bit.
-     - a def consumed as a *guard* (or as a sand operand — sand both
-       short-circuits on and stores its operands' values) by a consumer
-       that is effectual somewhere is fully live: eff(i) = e(i).
-       Guards read values, and a predicate delivery changes whether the
-       consumer fires at all, so partial deadness does not transfer.
-     - a def consumed as *data* by site j contributes e(i) /\ eff(j):
-       a token that only ever feeds ineffectual firings is itself
-       ineffectual.
-
    Deletion soundness (why removing all eff=False sites at once is
-   safe) rests on eff <= e and the rules above: for any surviving site
-   j and deleted feeder i, either i fed j's guard/sand (then j
-   surviving forced eff(i) = e(i), so i was only deleted if e(i) =
-   False — it never fired) or i fed j data with e(i) /\ eff(j) =
-   False — every firing of j that i's token enabled was ineffectual,
+   safe) rests on eff <= e and the effectuality rules: for any
+   surviving site j and deleted feeder i, either i fed j's guard/sand
+   (then j surviving forced eff(i) = e(i), so i was only deleted if
+   e(i) = False — it never fired) or i fed j data with e(i) /\ eff(j)
+   = False — every firing of j that i's token enabled was ineffectual,
    and obligation sites (eff = e) never were.  The one hazard is
    *emptying* a def-site list: [Pgate] models a temp with no in-block
    producer as an always-available live-in (codegen emits a register
@@ -245,83 +230,10 @@ let ineffectuality ?budget (h : Hb.t) : (ineff, string) result =
   match Pgate.analyze ?budget h with
   | Error msg -> Error msg
   | Ok g -> (
-      let body = g.Pgate.body in
-      let len = Array.length body in
-      let m = g.Pgate.m in
       try
-        (* consumer indices per temp: full-liveness consumers (guards
-           and sand operands — value- and fire-relevant) vs plain data
-           consumers *)
-        let full_cons = Hashtbl.create 16 and data_cons = Hashtbl.create 16 in
-        let add tbl t j =
-          Hashtbl.replace tbl t (j :: Option.value ~default:[] (Hashtbl.find_opt tbl t))
-        in
-        Array.iteri
-          (fun j hi ->
-            List.iter (fun t -> add full_cons t j) (Hb.guard_uses hi.Hb.guard);
-            match hi.Hb.hop with
-            | Hb.Sand { a; b; _ } ->
-                add full_cons a j;
-                add full_cons b j
-            | _ -> List.iter (fun t -> add data_cons t j) (Hb.data_uses hi))
-          body;
-        let out_producers =
-          List.fold_left
-            (fun s (_, prod) -> Temp.Set.add prod s)
-            Temp.Set.empty h.Hb.houts
-        in
-        let exit_preds =
-          List.fold_left
-            (fun s ex ->
-              List.fold_left
-                (fun s p -> Temp.Set.add p s)
-                s
-                (Hb.guard_uses ex.Hb.eguard))
-            Temp.Set.empty h.Hb.hexits
-        in
-        let root = Array.make len false in
-        Array.iteri
-          (fun i hi ->
-            (match hi.Hb.hop with
-            | Hb.Op (Tac.Store _) | Hb.Null_write _ | Hb.Null_store _ ->
-                root.(i) <- true
-            | _ -> ());
-            match Hb.hop_def hi.Hb.hop with
-            | Some d
-              when Temp.Set.mem d out_producers || Temp.Set.mem d exit_preds
-              ->
-                root.(i) <- true
-            | _ -> ())
-          body;
-        let eff = Array.make len Bdd.False in
-        let step i hi =
-          let e = g.Pgate.e.(i) in
-          let acc = ref (if root.(i) then e else Bdd.False) in
-          (match Hb.hop_def hi.Hb.hop with
-          | None -> ()
-          | Some d ->
-              List.iter
-                (fun j ->
-                  if not (Bdd.is_false eff.(j)) then acc := Bdd.disj m !acc e)
-                (Option.value ~default:[] (Hashtbl.find_opt full_cons d));
-              List.iter
-                (fun j -> acc := Bdd.disj m !acc (Bdd.conj m e eff.(j)))
-                (Option.value ~default:[] (Hashtbl.find_opt data_cons d)));
-          eff.(i) <- !acc
-        in
-        let snapshot () = Array.map Bdd.uid eff in
-        let max_rounds = (2 * len) + 16 in
-        let rec iterate round prev =
-          if round > max_rounds then Error "fixpoint did not converge"
-          else begin
-            Array.iteri step body;
-            let cur = snapshot () in
-            if cur = prev then Ok () else iterate (round + 1) cur
-          end
-        in
-        match iterate 0 (snapshot ()) with
+        match Pgate.effectual g h with
         | Error msg -> Error msg
-        | Ok () ->
+        | Ok eff ->
             let dead = ref [] and droppable = ref [] in
             Array.iteri
               (fun i hi ->
@@ -330,7 +242,7 @@ let ineffectuality ?budget (h : Hb.t) : (ineff, string) result =
                   hi.Hb.guard <> None
                   && Bdd.equal (Pgate.fire_unguarded g i) g.Pgate.e.(i)
                 then droppable := i :: !droppable)
-              body;
+              g.Pgate.body;
             Ok
               {
                 pg = g;
@@ -339,32 +251,3 @@ let ineffectuality ?budget (h : Hb.t) : (ineff, string) result =
                 droppable = List.rev !droppable;
               }
       with Bdd.Budget -> Error "BDD node budget exceeded")
-
-(* predicate-aware liveness: the region of assignments on which a token
-   arriving on [t] can still contribute to an obligation *)
-let live_region (iv : ineff) (h : Hb.t) (t : Temp.t) : Bdd.node =
-  let g = iv.pg in
-  let m = g.Pgate.m in
-  let full =
-    ref
-      (List.exists (fun (_, prod) -> Temp.equal t prod) h.Hb.houts
-      || List.exists
-           (fun ex -> List.exists (Temp.equal t) (Hb.guard_uses ex.Hb.eguard))
-           h.Hb.hexits)
-  and acc = ref Bdd.False in
-  Array.iteri
-    (fun j hi ->
-      let consumed_full =
-        List.exists (Temp.equal t) (Hb.guard_uses hi.Hb.guard)
-        ||
-        match hi.Hb.hop with
-        | Hb.Sand { a; b; _ } -> Temp.equal t a || Temp.equal t b
-        | _ -> false
-      in
-      if consumed_full then begin
-        if not (Bdd.is_false iv.eff.(j)) then full := true
-      end
-      else if List.exists (Temp.equal t) (Hb.data_uses hi) then
-        acc := Bdd.disj m !acc iv.eff.(j))
-    g.Pgate.body;
-  if !full then Bdd.True else !acc

@@ -2,8 +2,8 @@
     representation of pred-OR merges.  Three layers: a non-mutating
     {e view} (predicate-aware def-use chains and psi argument lists), a
     {e construct/destruct} renaming pair whose composition is the
-    structural identity, and the {e ineffectuality analysis} — a
-    backward fixpoint over the shared gating model ({!Pgate}) proving
+    structural identity, and the {e ineffectuality analysis} — the
+    shared gating model's backward fixpoint ({!Pgate.effectual}) proving
     which def sites can never contribute to a store, a block output, or
     an exit decision on any path. *)
 
@@ -61,7 +61,7 @@ val roundtrip : gen:Temp.Gen.t -> Hblock.t -> bool
 (** [construct] then [destruct]; true iff the block is structurally
     identical afterwards. *)
 
-(** {1 Ineffectuality and predicate-aware liveness} *)
+(** {1 Ineffectuality} *)
 
 type ineff = {
   pg : Pgate.t;
@@ -79,8 +79,3 @@ type ineff = {
 val ineffectuality : ?budget:int -> Hblock.t -> (ineff, string) result
 (** [Error msg] means the analysis is inconclusive (BDD budget, fixpoint
     divergence) — treat as "skip", never as a verdict. *)
-
-val live_region : ineff -> Hblock.t -> Temp.t -> Bdd.node
-(** Predicate-aware liveness: the region on which a token arriving on
-    the temp can still contribute to an obligation ([True] when it
-    feeds a surviving guard, an exit, or a block output). *)

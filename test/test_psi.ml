@@ -24,6 +24,9 @@ module Tac = Edge_ir.Tac
 module Temp = Edge_ir.Temp
 module Bdd = Edge_ir.Bdd
 module Psi = Edge_ir.Psi_ssa
+module Pgate = Edge_ir.Pgate
+module Tt = Edge_fuzz.Truth_table
+module Tg = Pgate.Make (Tt)
 module O = Edge_isa.Opcode
 module Oracle = Edge_fuzz.Oracle
 module Fz = Edge_fuzz
@@ -191,12 +194,14 @@ let ineffectual_site () =
   | Error e -> Alcotest.failf "analysis inconclusive: %s" e
   | Ok iv ->
       Alcotest.(check (list int)) "the add is dead" [ 1 ] iv.Psi.dead;
+      (* out's two deliveries are effectual wherever they fire, which
+         together is every path; the add's token reaches nothing *)
       Alcotest.(check bool)
         "out-producer liveness is True" true
-        (Bdd.is_true (Psi.live_region iv h out));
+        (Bdd.is_true (Bdd.disj iv.Psi.pg.Pgate.m iv.Psi.eff.(2) iv.Psi.eff.(3)));
       Alcotest.(check bool)
         "dead temp liveness is False" true
-        (Bdd.is_false (Psi.live_region iv h dead)));
+        (Bdd.is_false iv.Psi.eff.(1)));
   let m = Edge_obs.Metrics.create () in
   Dfp.Opt_ineff.run ~m h;
   Alcotest.(check int) "site deleted" 3 (List.length h.Hb.body);
@@ -335,6 +340,169 @@ let mutation_caught_unhooked () =
   Alcotest.(check bool)
     "bogus deletions caught by checker or oracle" true (!caught > 0)
 
+(* ---- one gating model, two region instances ------------------------- *)
+
+(* a BDD region as a truth table, by memoized Shannon expansion *)
+let tt_of_bdd c n =
+  let memo = Hashtbl.create 64 in
+  let rec go = function
+    | Bdd.False -> Tt.bot c
+    | Bdd.True -> Tt.top c
+    | Bdd.Node { uid; var; lo; hi } -> (
+        match Hashtbl.find_opt memo uid with
+        | Some t -> t
+        | None ->
+            let t =
+              Tt.disj c
+                (Tt.conj c (Tt.var c var) (go hi))
+                (Tt.conj c (Tt.nvar c var) (go lo))
+            in
+            Hashtbl.replace memo uid t;
+            t)
+  in
+  go n
+
+type formula =
+  | Top
+  | Bot
+  | Var of int
+  | Nvar of int
+  | Neg of formula
+  | Conj of formula * formula
+  | Disj of formula * formula
+
+module Build (R : Pgate.REGION) = struct
+  let rec build c = function
+    | Top -> R.top c
+    | Bot -> R.bot c
+    | Var v -> R.var c v
+    | Nvar v -> R.nvar c v
+    | Neg f -> R.neg c (build c f)
+    | Conj (f, f') -> R.conj c (build c f) (build c f')
+    | Disj (f, f') -> R.disj c (build c f) (build c f')
+
+  (* every completion of the (partial) assignment lies in [r] *)
+  let covers c r pairs =
+    let cube =
+      List.fold_left
+        (fun acc (v, b) -> R.conj c acc (if b then R.var c v else R.nvar c v))
+        (R.top c) pairs
+    in
+    R.equal (R.conj c r cube) cube
+end
+
+module Bb = Build (Pgate.Bdd_region)
+module Tb = Build (Tt)
+
+let gen_formula nvars =
+  QCheck.Gen.(
+    sized_size (int_bound 24)
+    @@ fix (fun self n ->
+           let leaf =
+             oneof
+               [
+                 return Top;
+                 return Bot;
+                 map (fun v -> Var v) (int_bound (nvars - 1));
+                 map (fun v -> Nvar v) (int_bound (nvars - 1));
+               ]
+           in
+           if n = 0 then leaf
+           else
+             frequency
+               [
+                 (1, leaf);
+                 (2, map (fun f -> Neg f) (self (n - 1)));
+                 (3, map2 (fun a b -> Conj (a, b)) (self (n / 2)) (self (n / 2)));
+                 (3, map2 (fun a b -> Disj (a, b)) (self (n / 2)) (self (n / 2)));
+               ]))
+
+(* the BDD and truth-table regions agree on equality, emptiness and
+   satisfying assignments, over random formulas of up to 8 variables *)
+let qcheck_regions_agree =
+  QCheck.Test.make ~name:"BDD and truth-table regions agree" ~count:500
+    (QCheck.make
+       QCheck.Gen.(
+         int_range 1 8 >>= fun n ->
+         triple (return n) (gen_formula n) (gen_formula n)))
+    (fun (n, f, f') ->
+      let m = Bdd.create () and c = Tt.create n in
+      let b = Bb.build m f and b' = Bb.build m f' in
+      let t = Tb.build c f and t' = Tb.build c f' in
+      let witnesses_agree =
+        match (Bdd.any_sat b, Tt.any_sat c t) with
+        | None, None -> true
+        | Some pb, Some pt -> Tb.covers c t pb && Bb.covers m b pt
+        | _ -> false
+      in
+      Tt.equal (tt_of_bdd c b) t
+      && Bdd.is_false b = Tt.is_false t
+      && Bdd.equal b b' = Tt.equal t t'
+      && witnesses_agree)
+
+(* the hyperblocks a Both compile hands to opt_ineff, per kernel:
+   Driver.compile_cfg's front end and Both's predicate passes *)
+let both_hblocks src =
+  let c = Dfp.Config.both in
+  let ast =
+    match Edge_lang.Parser.parse src with
+    | Ok ast -> ast
+    | Error e -> Alcotest.failf "parse: %s" e
+  in
+  let cfg = Result.get_ok (Edge_lang.Lower.lower ast) in
+  Edge_ir.Ssa.construct cfg;
+  Dfp.Opt_classic.run cfg;
+  Edge_ir.Ssa.destruct cfg;
+  Edge_ir.Cfg.prune_unreachable cfg;
+  Dfp.Unroll.run cfg ~max_unroll:c.Dfp.Config.max_unroll
+    ~target_instrs:(c.Dfp.Config.max_block_instrs / 2);
+  let retq = Temp.Gen.fresh cfg.Edge_ir.Cfg.gen in
+  let liveness = Edge_ir.Liveness.compute cfg in
+  let hs =
+    Dfp.Region.select cfg ~budget:(c.Dfp.Config.max_block_instrs * 45 / 100)
+    |> List.map (fun r ->
+           Result.get_ok (Dfp.If_convert.convert cfg liveness r ~retq))
+  in
+  Dfp.Opt_path.run hs cfg liveness ~retq;
+  List.iter Dfp.Opt_fanout.run hs;
+  List.iter Dfp.Opt_hclean.run hs;
+  hs
+
+(* both instances of the gating model give the same per-site fire,
+   value and effectual regions on every such block of at most 10
+   variables *)
+let instances_agree () =
+  let compared = ref 0 in
+  let dir = G.kernel_dir () in
+  Sys.readdir dir |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".k")
+  |> List.iter (fun f ->
+         List.iter
+           (fun (h : Hb.t) ->
+             match Pgate.analyze h with
+             | Ok g when g.Pgate.nvars <= 10 ->
+                 let tg = Result.get_ok (Tg.analyze_with Tt.create h) in
+                 let c = tg.Pgate.m in
+                 let same what bdds tts =
+                   Array.iteri
+                     (fun i r ->
+                       if not (Tt.equal (tt_of_bdd c r) tts.(i)) then
+                         Alcotest.failf "%s %s: %s differs at I%d" f
+                           h.Hb.hname what i)
+                     bdds
+                 in
+                 Alcotest.(check int) "same variables" g.Pgate.nvars tg.Pgate.nvars;
+                 same "e" g.Pgate.e tg.Pgate.e;
+                 same "svt" g.Pgate.svt tg.Pgate.svt;
+                 same "svu" g.Pgate.svu tg.Pgate.svu;
+                 same "eff"
+                   (Result.get_ok (Pgate.effectual g h))
+                   (Result.get_ok (Tg.effectual tg h));
+                 incr compared
+             | _ -> ())
+           (both_hblocks (G.read_file (Filename.concat dir f))));
+  Alcotest.(check bool) "some blocks compared" true (!compared > 0)
+
 (* ---- Pass_id round-trips -------------------------------------------- *)
 
 let pass_id_roundtrip () =
@@ -371,5 +539,8 @@ let tests =
       mutation_enumerator_catches;
     Alcotest.test_case "mutation: unhooked deletions still caught" `Quick
       mutation_caught_unhooked;
+    QCheck_alcotest.to_alcotest qcheck_regions_agree;
+    Alcotest.test_case "gating model: BDD and truth-table instances agree"
+      `Quick instances_agree;
     Alcotest.test_case "pass ids round-trip" `Quick pass_id_roundtrip;
   ]
