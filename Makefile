@@ -65,7 +65,7 @@ bench-compare: build
 # run every example kernel through tsim twice -- threaded-code JIT
 # (default) and reference interpreter (--no-jit) -- and require
 # byte-identical output, text trace included; then re-run the golden
-# trace check with the JIT explicitly forced on
+# trace check, which takes the JIT path
 jit-smoke: build
 	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
 	for k in examples/kernels/*.k; do \
@@ -83,7 +83,7 @@ jit-smoke: build
 	  diff "$$dir/$$n.jit.trace" "$$dir/$$n.int.trace" || \
 	    { echo "jit-smoke: FAIL: $$n trace differs jit vs interpreter"; exit 1; }; \
 	done && \
-	DFP_NO_JIT= dune exec test/trace_smoke.exe && \
+	dune exec test/trace_smoke.exe && \
 	echo "jit-smoke: OK (examples + golden traces byte-identical)"
 
 # run the smoke sweep twice against a fresh temporary cache directory:

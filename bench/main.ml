@@ -11,9 +11,6 @@
      dune exec bench/main.exe smoke           -- 1 workload x 2 configs across
                                                  2 domains; fast sanity check
                                                  of the parallel path
-     dune exec bench/main.exe micro           -- Bechamel microbenchmarks (one
-                                                 Test.make per experiment,
-                                                 timing the pipeline itself)
 
    Flags (valid for every mode that runs the sweep):
 
@@ -24,20 +21,31 @@
      --cache-dir D persistent cache location (default _cache); unchanged
                    (workload, config) pairs hit the cache across runs and
                    skip recompilation and re-simulation entirely
+     --trace-out P fig7/all: attach a block-level trace to every Figure 7
+                   run and write one combined Chrome trace-event JSON
+                   (one Perfetto process per workload/config experiment)
 
    The paper-facing numbers are simulated cycle counts, not wall-clock:
-   simulated cycles are bit-identical for every -j value.  The Bechamel
-   tests exist to track the toolchain's own performance (compile time,
-   functional- and cycle-simulation throughput). *)
+   simulated cycles are bit-identical for every -j value. *)
 
-let fig7 ?(progress = true) ?cache ?machine ~jobs () =
+let fig7 ?(progress = true) ?(trace_blocks = false) ?cache ?machine ~jobs () =
   Edge_harness.Figure7.run
     ~progress:(fun n -> if progress then Printf.eprintf "  %s...\n%!" n)
-    ~jobs ?cache ?machine ()
+    ~jobs ~trace_blocks ?cache ?machine ()
 
 (* -- machine-readable results ------------------------------------- *)
 
 module Json = Edge_obs.Json
+
+(* an unwritable path costs a warning, not the finished sweep *)
+let save ?(note = "") path buf =
+  match open_out path with
+  | oc ->
+      output_string oc (Buffer.contents buf);
+      close_out oc;
+      Format.printf "wrote %s%s@." path note
+  | exception Sys_error e ->
+      Printf.eprintf "warning: could not write %s: %s\n%!" path e
 
 let write_json path ~wall_s ~alloc ~fsim ~backends
     (r : Edge_harness.Figure7.result) =
@@ -120,21 +128,28 @@ let write_json path ~wall_s ~alloc ~fsim ~backends
       pf "    { \"experiment\": \"%s\", \"error\": \"%s\" }" (Json.escape w)
         (Json.escape e));
   pf "\n  ]\n}\n";
-  match open_out path with
-  | oc ->
-      output_string oc (Buffer.contents buf);
-      close_out oc;
-      Format.printf "wrote %s@." path
-  | exception Sys_error e ->
-      (* don't lose a finished sweep to an unwritable path *)
-      Printf.eprintf "warning: could not write %s: %s\n%!" path e
+  save path buf
+
+let write_combined_trace path (r : Edge_harness.Figure7.result) =
+  let buf = Buffer.create (1 lsl 16) in
+  Buffer.add_string buf "[\n";
+  List.iteri
+    (fun pid ((wname, cname), events) ->
+      if pid > 0 then Buffer.add_string buf ",\n";
+      Edge_obs.Trace.write_chrome ~pid ~name:(wname ^ "/" ^ cname) buf events)
+    r.Edge_harness.Figure7.traces;
+  Buffer.add_string buf "\n]\n";
+  save path buf
+    ~note:
+      (Printf.sprintf " (%d experiment traces)"
+         (List.length r.Edge_harness.Figure7.traces))
 
 (* one sweep shared by fig7/stats/all: `stats` used to re-run all 140
    experiments even when fig7 had just produced them *)
-let run_sweep ?cache ~jobs ~json () =
+let run_sweep ?cache ?trace_out ~jobs ~json () =
   let g0 = Gc.quick_stat () in
   let t0 = Unix.gettimeofday () in
-  let r = fig7 ?cache ~jobs () in
+  let r = fig7 ?cache ~trace_blocks:(trace_out <> None) ~jobs () in
   let wall_s = Unix.gettimeofday () -. t0 in
   let g1 = Gc.quick_stat () in
   let alloc =
@@ -162,6 +177,7 @@ let run_sweep ?cache ~jobs ~json () =
   Format.printf "sweep: %.1fs wall (-j %d; compile %.1fs, sim %.1fs of work)@."
     wall_s r.Edge_harness.Figure7.jobs r.Edge_harness.Figure7.compile_s
     r.Edge_harness.Figure7.sim_s;
+  Option.iter (fun path -> write_combined_trace path r) trace_out;
   r
 
 let pp_stats ppf (r : Edge_harness.Figure7.result) =
@@ -223,100 +239,11 @@ let run_smoke ?cache () =
   Format.printf "smoke: %.2fs wall (-j 2)@." (Unix.gettimeofday () -. t0);
   if r.Edge_harness.Figure7.errors <> [] then exit 1
 
-(* Bechamel microbenchmarks: one Test.make per regenerated artifact,
-   measuring the machinery that produces it on a small representative
-   input. *)
-let micro_tests () =
-  let open Bechamel in
-  let w = Option.get (Edge_workloads.Registry.find "tblook01") in
-  let both =
-    match Edge_harness.Experiment.compile w Dfp.Config.both with
-    | Ok c -> c
-    | Error e -> failwith e
-  in
-  let run_functional () =
-    let mem = Edge_isa.Mem.create ~size:w.Edge_workloads.Workload.mem_size in
-    let args = w.Edge_workloads.Workload.setup mem in
-    let regs = Array.make 128 0L in
-    List.iteri (fun i v -> regs.(Edge_isa.Conventions.param_reg i) <- v) args;
-    match Edge_sim.Functional.run both.Dfp.Driver.program ~regs ~mem with
-    | Ok _ -> ()
-    | Error e -> failwith e
-  in
-  let run_cycle () =
-    let mem = Edge_isa.Mem.create ~size:w.Edge_workloads.Workload.mem_size in
-    let args = w.Edge_workloads.Workload.setup mem in
-    let regs = Array.make 128 0L in
-    List.iteri (fun i v -> regs.(Edge_isa.Conventions.param_reg i) <- v) args;
-    let placement n =
-      match List.assoc_opt n both.Dfp.Driver.placements with
-      | Some p -> p
-      | None -> [||]
-    in
-    match
-      Edge_sim.Cycle_sim.run ~placement both.Dfp.Driver.program ~regs ~mem
-    with
-    | Ok _ -> ()
-    | Error e -> failwith e
-  in
-  let compile_one () =
-    match Edge_harness.Experiment.compile w Dfp.Config.both with
-    | Ok _ -> ()
-    | Error e -> failwith e
-  in
-  let genalg_point () =
-    match
-      Edge_harness.Experiment.run_one Edge_workloads.Registry.genalg
-        ("Both", Dfp.Config.both)
-    with
-    | Ok _ -> ()
-    | Error e -> failwith e
-  in
-  let ablation_point () =
-    let machine =
-      { Edge_sim.Machine.default with Edge_sim.Machine.early_termination = false }
-    in
-    match Edge_harness.Experiment.run_one ~machine w ("Both", Dfp.Config.both) with
-    | Ok _ -> ()
-    | Error e -> failwith e
-  in
-  [
-    Test.make ~name:"fig7:compile" (Staged.stage compile_one);
-    Test.make ~name:"fig7:functional-sim" (Staged.stage run_functional);
-    Test.make ~name:"fig7:cycle-sim" (Staged.stage run_cycle);
-    Test.make ~name:"sec6-stats:cycle-sim" (Staged.stage run_cycle);
-    Test.make ~name:"genalg-study:point" (Staged.stage genalg_point);
-    Test.make ~name:"ablation:point" (Staged.stage ablation_point);
-  ]
-
-let run_micro () =
-  let open Bechamel in
-  let tests = micro_tests () in
-  let instances = [ Toolkit.Instance.monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 1.0) ~kde:None () in
-  List.iter
-    (fun test ->
-      let results =
-        Benchmark.all cfg instances (Test.make_grouped ~name:"g" [ test ])
-      in
-      Hashtbl.iter
-        (fun name result ->
-          let stats =
-            Analyze.one
-              (Analyze.ols ~bootstrap:0 ~r_square:false
-                 ~predictors:[| Measure.run |])
-              Toolkit.Instance.monotonic_clock result
-          in
-          match Analyze.OLS.estimates stats with
-          | Some [ est ] -> Format.printf "%-28s %12.0f ns/run@." name est
-          | _ -> Format.printf "%-28s (no estimate)@." name)
-        results)
-    tests
-
 let usage () =
   Printf.eprintf
-    "usage: main.exe [fig7|stats|genalg|ablation|smoke|micro|all] [-j N] \
-     [--json PATH] [--no-cache] [--cache-dir DIR] [--check]\n";
+    "usage: main.exe [fig7|stats|genalg|ablation|smoke|all] [-j N] \
+     [--json PATH] [--no-cache] [--cache-dir DIR] [--check] \
+     [--trace-out PATH]\n";
   exit 1
 
 let () =
@@ -325,6 +252,7 @@ let () =
   let json = ref "BENCH_fig7.json" in
   let use_cache = ref true in
   let cache_dir = ref "_cache" in
+  let trace_out = ref None in
   let rec parse = function
     | [] -> ()
     | "-j" :: n :: rest -> (
@@ -342,6 +270,9 @@ let () =
     | "--cache-dir" :: d :: rest ->
         cache_dir := d;
         parse rest
+    | "--trace-out" :: p :: rest ->
+        trace_out := Some p;
+        parse rest
     | "--check" :: rest ->
         (* per-pass static verifier on every compile (also: DFP_CHECK=1);
            checked runs bypass the persistent result cache *)
@@ -353,7 +284,7 @@ let () =
     | _ -> usage ()
   in
   parse (List.tl (Array.to_list Sys.argv));
-  let jobs = !jobs and json = !json in
+  let jobs = !jobs and json = !json and trace_out = !trace_out in
   let cache =
     if not !use_cache then None
     else
@@ -374,7 +305,7 @@ let () =
   in
   match !mode with
   | "fig7" ->
-      let r = run_sweep ?cache ~jobs ~json () in
+      let r = run_sweep ?cache ?trace_out ~jobs ~json () in
       Format.printf "%a@." Edge_harness.Figure7.pp r;
       report_cache ()
   | "stats" ->
@@ -385,10 +316,9 @@ let () =
   | "smoke" ->
       run_smoke ?cache ();
       report_cache ()
-  | "micro" -> run_micro ()
   | "all" ->
       Format.printf "== Figure 7 ==@.";
-      let r = run_sweep ?cache ~jobs ~json () in
+      let r = run_sweep ?cache ?trace_out ~jobs ~json () in
       Format.printf "%a@." Edge_harness.Figure7.pp r;
       (* the Section 6 numbers come from the same sweep result: no
          second pass over the 140 experiments *)

@@ -10,8 +10,13 @@
    -j — because each task derives everything from its seed and results
    are folded in seed order.
 
-   Failures are greedily minimized and written to the crash corpus
-   (--corpus DIR, default test/corpus), which `dune runtest` replays.
+   Each failure is greedily minimized (unless --no-minimize) and its
+   reproducer printed; with --corpus DIR it is also saved there, with
+   its cycle-sim trace beside it. Nothing is saved without --corpus;
+   `dune runtest` replays the checked-in corpus, test/corpus. To
+   reproduce and minimize one program, run it alone:
+
+     dune exec bin/fuzz.exe -- --seed S -n 1 --min-size Z --max-size Z
 
      --workloads   validate the compiled artifacts of every registry
                    workload under every configuration instead of fuzzing
@@ -27,11 +32,6 @@
                    them, with every verdict re-proved by exhaustive
                    path enumeration; a disproved verdict (false
                    positive) fails
-     --max-vars N  enumerator width cutoff: blocks with more than N
-                   predicate variables are skipped by exhaustive path
-                   enumeration (they still get the lattice checker);
-                   skip counts are reported
-     --no-check    disable the per-pass static checker in the oracle
      --matrix      run the cycle comparison on every timing backend
                    (tiled grid AND the in-order EDGE core) instead of
                    the grid alone
@@ -168,9 +168,7 @@ let run_serve ~seed ~n ~jobs ~min_size ~max_size =
 
 let usage =
   "usage: fuzz.exe [--seed S] [-n N] [-j J] [--min-size A] [--max-size B]\n\
-  \                [--no-cycle] [--no-validate] [--no-check] [--matrix]\n\
-  \                [--no-minimize]\n\
-  \                [--max-vars N] [--corpus DIR] [--cache-dir DIR]\n\
+  \                [--matrix] [--no-minimize] [--corpus DIR]\n\
   \                [--workloads] [--replay DIR] [--check-smoke DIR]\n\
   \                [--analyze-smoke DIR] [--serve]"
 
@@ -180,14 +178,9 @@ let () =
   let jobs = ref (Edge_parallel.Pool.default_jobs ()) in
   let min_size = ref Edge_fuzz.Fuzz.default_min_size in
   let max_size = ref Edge_fuzz.Fuzz.default_max_size in
-  let cycle = ref true in
   let machines = ref None in
-  let validate = ref true in
-  let check = ref true in
-  let max_vars = ref None in
   let minimize = ref true in
   let corpus = ref None in
-  let cache_dir = ref None in
   let mode = ref `Fuzz in
   let int_arg name v rest k =
     match int_of_string_opt v with
@@ -205,17 +198,11 @@ let () =
         int_arg "--min-size" v rest (fun i r -> min_size := i; parse r)
     | "--max-size" :: v :: rest ->
         int_arg "--max-size" v rest (fun i r -> max_size := i; parse r)
-    | "--no-cycle" :: rest -> cycle := false; parse rest
-    | "--no-validate" :: rest -> validate := false; parse rest
-    | "--no-check" :: rest -> check := false; parse rest
     | "--matrix" :: rest ->
         machines := Some Edge_fuzz.Oracle.matrix_machines;
         parse rest
-    | "--max-vars" :: v :: rest ->
-        int_arg "--max-vars" v rest (fun i r -> max_vars := Some i; parse r)
     | "--no-minimize" :: rest -> minimize := false; parse rest
     | "--corpus" :: dir :: rest -> corpus := Some dir; parse rest
-    | "--cache-dir" :: dir :: rest -> cache_dir := Some dir; parse rest
     | "--workloads" :: rest -> mode := `Workloads; parse rest
     | "--replay" :: dir :: rest -> mode := `Replay dir; parse rest
     | "--check-smoke" :: dir :: rest -> mode := `Check_smoke dir; parse rest
@@ -226,11 +213,6 @@ let () =
         exit 1
   in
   parse (List.tl (Array.to_list Sys.argv));
-  (* opt-in for fuzzing: campaigns that re-test identical kernels across
-     runs (fixed seeds in CI) skip every previously-clean verdict *)
-  let cache =
-    Option.map (fun dir -> Edge_parallel.Disk_cache.create ~dir ()) !cache_dir
-  in
   match !mode with
   | `Serve ->
       run_serve ~seed:!seed ~n:!n ~jobs:!jobs ~min_size:!min_size
@@ -239,8 +221,7 @@ let () =
       Format.printf "validating compiled artifacts: %d workloads x %d configs@."
         (List.length Edge_workloads.Registry.all)
         (List.length Edge_fuzz.Oracle.configs);
-      match Edge_fuzz.Fuzz.validate_workloads ~jobs:!jobs ?max_vars:!max_vars ()
-      with
+      match Edge_fuzz.Fuzz.validate_workloads ~jobs:!jobs () with
       | [] ->
           Format.printf "all artifacts pass the block validator@.";
           exit 0
@@ -291,8 +272,7 @@ let () =
       List.iter
         (fun (name, src) ->
           match
-            Edge_fuzz.Fuzz.replay_source ~cycle:!cycle ?machines:!machines
-              ~validate:!validate ~check:!check ?max_vars:!max_vars ~name src
+            Edge_fuzz.Fuzz.replay_source ?machines:!machines ~name src
           with
           | Ok () -> ()
           | Error e ->
@@ -303,9 +283,8 @@ let () =
       exit (if !failed = 0 then 0 else 1))
   | `Fuzz ->
       let report =
-        Edge_fuzz.Fuzz.run ~jobs:!jobs ~cycle:!cycle ?machines:!machines
-          ~validate:!validate ~check:!check ?max_vars:!max_vars ?cache
-          ~min_size:!min_size ~max_size:!max_size ~seed:!seed ~n:!n ()
+        Edge_fuzz.Fuzz.run ~jobs:!jobs ?machines:!machines ~min_size:!min_size
+          ~max_size:!max_size ~seed:!seed ~n:!n ()
       in
       Format.printf "%a" Edge_fuzz.Fuzz.pp_report report;
       (match (report.Edge_fuzz.Fuzz.failures, !corpus) with
@@ -319,9 +298,7 @@ let () =
                     f.Edge_fuzz.Fuzz.seed f.Edge_fuzz.Fuzz.size
                     f.Edge_fuzz.Fuzz.config;
                   Edge_fuzz.Pretty.kernel_to_string
-                    (Edge_fuzz.Fuzz.minimize_failure ~cycle:!cycle
-                       ?machines:!machines ~validate:!validate ~check:!check
-                       ?max_vars:!max_vars f)
+                    (Edge_fuzz.Fuzz.minimize_failure ?machines:!machines f)
                 end
                 else f.Edge_fuzz.Fuzz.source
               in

@@ -173,28 +173,18 @@ let run_lint workload config_name =
   Format.printf "%d finding(s)@." (List.length findings);
   Ok ()
 
-let run workload config_name machine_name functional_only no_early in_order
-    no_jit check lint asm_args trace_out trace_text metrics =
+let run workload config_name machine_name functional_only no_jit check lint
+    asm_args trace_out trace_text metrics =
   let ( let* ) = Result.bind in
   if no_jit then Edge_sim.Functional.set_jit false;
   if check then Edge_check.Check.set_enabled true;
   let oopts = { trace_out; trace_text; metrics } in
+  (* --machine: a preset name or compact key=value line; ablations are
+     overrides, e.g. -m early=false or -m aggr=false *)
   let machine_of () =
-    (* --machine picks the base description (preset name or compact
-       key=value line); the ablation flags override on top of it *)
-    let* base =
-      match machine_name with
-      | None -> Ok Edge_sim.Machine.default
-      | Some s -> Edge_sim.Machine.of_compact s
-    in
-    Ok
-      {
-        base with
-        Edge_sim.Machine.early_termination =
-          base.Edge_sim.Machine.early_termination && not no_early;
-        aggressive_loads =
-          base.Edge_sim.Machine.aggressive_loads && not in_order;
-      }
+    match machine_name with
+    | None -> Ok Edge_sim.Machine.default
+    | Some s -> Edge_sim.Machine.of_compact s
   in
   let compute () =
     if lint then run_lint workload config_name
@@ -303,21 +293,15 @@ let machine_arg =
      compact key=value line (e.g. rows=8;cols=8;slots=2), or a preset \
      with overrides (e.g. inorder_edge;window=8). Selects the backend: \
      trips_grid machines run the tiled grid simulator, inorder_edge \
-     machines the scalar in-order core."
+     machines the scalar in-order core. The ablations are overrides: \
+     early=false disables early mispredication termination (Section \
+     4.3), aggr=false makes loads wait for all older stores."
   in
   Arg.(value & opt (some string) None & info [ "m"; "machine" ] ~docv:"MACHINE" ~doc)
 
 let functional_arg =
   let doc = "Run only the functional (untimed) simulator." in
   Arg.(value & flag & info [ "f"; "functional" ] ~doc)
-
-let no_early_arg =
-  let doc = "Disable early mispredication termination (Section 4.3 ablation)." in
-  Arg.(value & flag & info [ "no-early-termination" ] ~doc)
-
-let in_order_arg =
-  let doc = "In-order memory: loads wait for all older stores." in
-  Arg.(value & flag & info [ "in-order-memory" ] ~doc)
 
 let check_arg =
   let doc =
@@ -342,8 +326,8 @@ let lint_arg =
 let no_jit_arg =
   let doc =
     "Run the functional simulator through the reference token-pushing \
-     interpreter instead of the threaded-code JIT (equivalent to \
-     DFP_NO_JIT=1). Results are identical either way; use for \
+     interpreter instead of the threaded-code JIT. Results are \
+     identical either way; use for \
      differential testing of the JIT."
   in
   Arg.(value & flag & info [ "no-jit" ] ~doc)
@@ -372,8 +356,7 @@ let cmd =
     (Cmd.info "tsim" ~doc)
     Term.(
       const run $ workload_arg $ config_arg $ machine_arg $ functional_arg
-      $ no_early_arg $ in_order_arg $ no_jit_arg $ check_arg
-      $ lint_arg $ asm_args_arg $ trace_out_arg $ trace_text_arg
-      $ metrics_arg)
+      $ no_jit_arg $ check_arg $ lint_arg $ asm_args_arg $ trace_out_arg
+      $ trace_text_arg $ metrics_arg)
 
 let () = exit (Cmd.eval' cmd)

@@ -2,8 +2,9 @@
 
    A generated kernel is executed by the reference interpreter, then
    compiled under every configuration and executed by the functional
-   dataflow executor and (optionally) the cycle-accurate simulator. All
-   runs must agree on:
+   dataflow executor and by the cycle simulator of every machine on the
+   timing axis ([?machines]: the tiled grid by default, plus the
+   in-order core in matrix campaigns). All runs must agree on:
 
    - the return value,
    - the final memory image,
@@ -174,10 +175,9 @@ let describe_disagreement ~name ~executor (r : outcome) (reference : outcome) =
 (* Check a single compiled artifact + behaviour under one configuration
    against the reference outcome.  [Ok n]: clean; [n] blocks were too
    wide for the enumerator and got only structural+lattice checks. *)
-let check_config ?(cycle = true) ?(machines = default_machines)
-    ?(validate = true) ?(check = true) ?max_vars ~reference ast (name, config)
+let check_config ?(machines = default_machines) ~reference ast (name, config)
     : (int, fail) result =
-  match compile ~check ast config with
+  match compile ~check:true ast config with
   | Error e when Edge_check.Diag.parse_key e <> None ->
       (* the per-pass checker rejected the compile; record what the
          enumerator thinks of the finished program for cross-checking *)
@@ -185,7 +185,7 @@ let check_config ?(cycle = true) ?(machines = default_machines)
         match compile ~check:false ast config with
         | Error e2 -> Printf.sprintf " (recompile without check failed: %s)" e2
         | Ok compiled -> (
-            match Validate.program ?max_vars compiled.Dfp.Driver.program with
+            match Validate.program compiled.Dfp.Driver.program with
             | Ok skipped ->
                 Printf.sprintf
                   " (enumerator finds the final program clean, %d blocks \
@@ -198,34 +198,24 @@ let check_config ?(cycle = true) ?(machines = default_machines)
       Error { config = name; kind = Checker; message = e ^ enum_view }
   | Error e -> Error { config = name; kind = Exec_error; message = e }
   | Ok compiled -> (
-      let validator_verdict =
-        if validate then
-          match Validate.program ?max_vars compiled.Dfp.Driver.program with
-          | Ok skipped -> Ok skipped
-          | Error es -> (
-              let message = String.concat "; " es in
-              if not check then
-                Error { config = name; kind = Validator; message }
-              else
-                (* the compile passed the lattice checker: either the
-                   checker skipped the offending block (excused) or the
-                   superset-or-equal contract is breached *)
-                let r = Edge_check.Check.program compiled.Dfp.Driver.program in
-                match r.Edge_check.Check.skipped with
-                | 0 ->
-                    Error
-                      {
-                        config = name;
-                        kind = Checker;
-                        message =
-                          "cross-validation breach: enumerator flags a \
-                           program the lattice checker passed: " ^ message;
-                      }
-                | _ -> Error { config = name; kind = Validator; message })
-        else Ok 0
-      in
-      match validator_verdict with
-      | Error _ as e -> e
+      match Validate.program compiled.Dfp.Driver.program with
+      | Error es -> (
+          let message = String.concat "; " es in
+          (* the compile passed the lattice checker: either the checker
+             skipped the offending block (excused) or the
+             superset-or-equal contract is breached *)
+          let r = Edge_check.Check.program compiled.Dfp.Driver.program in
+          match r.Edge_check.Check.skipped with
+          | 0 ->
+              Error
+                {
+                  config = name;
+                  kind = Checker;
+                  message =
+                    "cross-validation breach: enumerator flags a program the \
+                     lattice checker passed: " ^ message;
+                }
+          | _ -> Error { config = name; kind = Validator; message })
       | Ok skipped -> (
           match run_functional compiled with
           | Error e -> Error { config = name; kind = Exec_error; message = e }
@@ -239,110 +229,49 @@ let check_config ?(cycle = true) ?(machines = default_machines)
                       reference;
                 }
           | Ok _ ->
-              if not cycle then Ok skipped
-              else
-                (* every machine on the axis must reproduce the
-                   reference results — this is the backend-differential
-                   gate for the in-order core *)
-                let rec machine_loop = function
-                  | [] -> Ok skipped
-                  | (mname, machine) :: rest -> (
-                      match run_cycle ~machine compiled with
-                      | Error e ->
-                          Error
-                            {
-                              config = name;
-                              kind = Exec_error;
-                              message = Printf.sprintf "[%s] %s" mname e;
-                            }
-                      | Ok r when not (agree reference r) ->
-                          Error
-                            {
-                              config = name;
-                              kind = Mismatch;
-                              message =
-                                describe_disagreement ~name
-                                  ~executor:("cycle[" ^ mname ^ "]")
-                                  r reference;
-                            }
-                      | Ok _ -> machine_loop rest)
-                in
-                machine_loop machines))
+              (* every machine on the axis must reproduce the reference
+                 results — this is the backend-differential gate for the
+                 in-order core *)
+              let rec machine_loop = function
+                | [] -> Ok skipped
+                | (mname, machine) :: rest -> (
+                    match run_cycle ~machine compiled with
+                    | Error e ->
+                        Error
+                          {
+                            config = name;
+                            kind = Exec_error;
+                            message = Printf.sprintf "[%s] %s" mname e;
+                          }
+                    | Ok r when not (agree reference r) ->
+                        Error
+                          {
+                            config = name;
+                            kind = Mismatch;
+                            message =
+                              describe_disagreement ~name
+                                ~executor:("cycle[" ^ mname ^ "]")
+                                r reference;
+                          }
+                    | Ok _ -> machine_loop rest)
+              in
+              machine_loop machines))
 
 (* [Ok n]: all configs clean; [n] sums the enumerator-skipped block
    counts across configurations, so the fuzz report can say how much of
    the corpus actually got the exponential treatment. *)
-let check_uncached ?cycle ?machines ?validate ?check ?max_vars
-    (ast : A.kernel) : (int, fail) result =
+let check ?machines (ast : A.kernel) : (int, fail) result =
   match run_reference ast with
   | Error _ as e -> e
   | Ok reference ->
       let rec go acc = function
         | [] -> Ok acc
         | c :: rest -> (
-            match
-              check_config ?cycle ?machines ?validate ?check ?max_vars
-                ~reference ast c
-            with
+            match check_config ?machines ~reference ast c with
             | Error _ as e -> e
             | Ok skipped -> go (acc + skipped) rest)
       in
       go 0 configs
-
-(* persistent-cache key: the kernel's content plus everything that can
-   change a verdict — oracle switches, the config list, and the
-   simulator revision *)
-let check_cache_key ?cycle ?(machines = default_machines) ?validate ?check
-    ?max_vars ast =
-  String.concat "|"
-    [
-      "fuzz-oracle-v4";
-      Edge_sim.Block_jit.revision;
-      (* one entry per machine on the axis: its backend's revision plus
-         the full description, so axis changes re-verify *)
-      String.concat ","
-        (List.map
-           (fun (mn, m) ->
-             Printf.sprintf "%s=%s:%s" mn
-               (Edge_sim.Backend.revision m)
-               (Digest.to_hex (Digest.string (Marshal.to_string m []))))
-           machines);
-      Digest.to_hex (Digest.string (Marshal.to_string (ast : A.kernel) []));
-      string_of_bool (Option.value cycle ~default:true);
-      string_of_bool (Option.value validate ~default:true);
-      string_of_bool (Option.value check ~default:true);
-      (match max_vars with None -> "-" | Some v -> string_of_int v);
-      String.concat "," config_names;
-    ]
-
-let check ?cycle ?machines ?validate ?check ?max_vars ?cache (ast : A.kernel)
-    : (int, fail) result =
-  match cache with
-  | None -> check_uncached ?cycle ?machines ?validate ?check ?max_vars ast
-  | Some c -> (
-      let key =
-        check_cache_key ?cycle ?machines ?validate ?check ?max_vars ast
-      in
-      match Edge_parallel.Disk_cache.find c ~key with
-      | Some skipped -> Ok skipped
-      | None -> (
-          match
-            check_uncached ?cycle ?machines ?validate ?check ?max_vars ast
-          with
-          | Ok skipped ->
-              (* only clean verdicts are cached: a failure must re-run
-                 so diagnosis always sees a fresh, complete reproduction *)
-              Edge_parallel.Disk_cache.store c ~key skipped;
-              Ok skipped
-          | Error _ as e -> e))
-
-(* String-error wrapper matching the historical Diff_check interface. *)
-let check_kernel ?cycle (ast : A.kernel) : (unit, string) result =
-  match (try `R (check ?cycle ast) with Skip -> `Skip) with
-  | `Skip -> Ok ()
-  | `R (Ok _) -> Ok ()
-  | `R (Error f) ->
-      Error (Printf.sprintf "%s [%s] %s" f.config (kind_name f.kind) f.message)
 
 (* Trace a kernel's cycle-simulator run under one configuration (by
    name) and render the deterministic text form. bin/fuzz dumps this
@@ -389,20 +318,16 @@ let trace_kernel ?(config = "Both") (ast : A.kernel) : (string, string) result
    [check_key] additionally pins the diagnostic's (pass, invariant)
    pair, so shrinking cannot wander from e.g. an opt_merge pred-or
    violation to an unrelated codegen structure error. *)
-let still_fails ?cycle ?machines ?validate ?check ?check_key ?max_vars ~config
-    ~kind (ast : A.kernel) : bool =
+let still_fails ?machines ?check_key ~config ~kind (ast : A.kernel) : bool =
   match
     (try
        `R
          (match List.find_opt (fun (n, _) -> String.equal n config) configs with
-         | None ->
-             check_uncached ?cycle ?machines ?validate ?check ?max_vars ast
+         | None -> check ?machines ast
          | Some c -> (
              match run_reference ast with
              | Error _ as e -> e
-             | Ok reference ->
-                 check_config ?cycle ?machines ?validate ?check ?max_vars
-                   ~reference ast c))
+             | Ok reference -> check_config ?machines ~reference ast c))
      with Skip -> `Skip)
   with
   | `Skip -> false

@@ -61,31 +61,23 @@ type conn = {
   mutable alive : bool;
 }
 
-let send_raw conn (s : string) =
-  Mutex.lock conn.send_mu;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock conn.send_mu)
-    (fun () ->
-      if conn.alive then
-        let buf = Bytes.of_string (s ^ "\n") in
-        let len = Bytes.length buf in
-        let rec write off =
-          if off < len then
-            match Unix.write conn.fd buf off (len - off) with
-            | n -> write (off + n)
-            | exception Unix.Unix_error (Unix.EINTR, _, _) -> write off
-            | exception Unix.Unix_error _ -> conn.alive <- false
-        in
-        write 0)
+(* write one line; the caller holds [conn.send_mu] *)
+let write_locked conn (s : string) =
+  if conn.alive then
+    let buf = Bytes.of_string (s ^ "\n") in
+    let len = Bytes.length buf in
+    let rec write off =
+      if off < len then
+        match Unix.write conn.fd buf off (len - off) with
+        | n -> write (off + n)
+        | exception Unix.Unix_error (Unix.EINTR, _, _) -> write off
+        | exception Unix.Unix_error _ -> conn.alive <- false
+    in
+    write 0
 
-let send conn (v : Json.t) = send_raw conn (Json.to_string v)
-
-(* one writev-style syscall for a burst of rendered response lines (a
-   batch request's accepted/fast-hit lines): one buffer, one write(2)
-   for the whole frame instead of one per response *)
-let send_raw_lines conn = function
-  | [] -> ()
-  | lines -> send_raw conn (String.concat "\n" lines)
+let send conn (v : Json.t) =
+  let s = Json.to_string v in
+  Mutex.protect conn.send_mu (fun () -> write_locked conn s)
 
 (* one queued unit of work; [waiters] accumulates the submitters of
    merged identical jobs — each gets the terminal response under its
@@ -501,15 +493,19 @@ let with_id id line =
 
 (* [out] receives the synchronous (reader-thread) responses — verdicts
    and fast-path results — as rendered lines.  Single jobs pass
-   [send_raw conn]; a batch collects them and flushes once.  Terminal
-   responses of queued jobs are sent by the completing worker, as
-   before.  [ack] controls whether a fast hit sends its "accepted"
-   line before the terminal response: single jobs keep the dfpd-v1
-   accepted-then-done sequence byte for byte, while batch frames elide
-   the accepted line when the done travels in the same flush — a third
-   of the response bytes for pure overhead (batch verdicts for queued
-   and merged jobs are still sent; they are the only synchronous
-   answer those jobs get). *)
+   [write_locked conn]; a batch collects them and flushes once.  Either
+   way the caller holds [conn.send_mu] from before the job is queued
+   until its verdict is written: the completing worker sends the
+   terminal responses of queued and merged jobs through [send], which
+   waits on that lock, so every id's accepted line precedes its
+   terminal line.  No worker takes [t.mu] while sending, so taking
+   [t.mu] under [send_mu] here cannot deadlock.  [ack] controls whether
+   a fast hit sends its "accepted" line before the terminal response:
+   single jobs keep the dfpd-v1 accepted-then-done sequence byte for
+   byte, while batch frames elide the accepted line when the done
+   travels in the same flush — a third of the response bytes for pure
+   overhead (batch verdicts for queued and merged jobs are still sent;
+   they are the only synchronous answer those jobs get). *)
 let submit t conn id (spec : Proto.job_spec) ~ack ~(out : string -> unit) =
   let digest = Proto.job_digest spec in
   (* warm fast path: a known result is answered from the fast-path
@@ -611,7 +607,9 @@ let handle_line t conn line =
   | Ok Proto.Shutdown ->
       Atomic.set t.shutdown_req true;
       send conn (Json.Obj [ ("type", Json.Str "shutting_down") ])
-  | Ok (Proto.Job spec) -> submit t conn id spec ~ack:true ~out:(send_raw conn)
+  | Ok (Proto.Job spec) ->
+      Mutex.protect conn.send_mu (fun () ->
+          submit t conn id spec ~ack:true ~out:(write_locked conn))
   | Ok (Proto.Batch jobs) ->
       (* one frame in, one flush out: every synchronous response of the
          batch (verdicts, fast hits, per-element protocol errors) is
@@ -619,24 +617,26 @@ let handle_line t conn line =
       Atomic.incr t.stats.batches;
       let acc = ref [] in
       let out line = acc := line :: !acc in
-      List.iter
-        (fun { Proto.id; req } ->
-          match req with
-          | Error msg ->
-              Atomic.incr t.stats.protocol_errors;
-              out
-                (Json.to_string
-                   (Proto.error ?id ~reason:Proto.Protocol ~message:msg ()))
-          | Ok (Proto.Job spec) -> submit t conn id spec ~ack:false ~out
-          | Ok _ ->
-              (* unreachable: the parser only puts jobs in a batch *)
-              Atomic.incr t.stats.protocol_errors;
-              out
-                (Json.to_string
-                   (Proto.error ?id ~reason:Proto.Protocol
-                      ~message:"batch elements must be jobs" ())))
-        jobs;
-      send_raw_lines conn (List.rev !acc)
+      Mutex.protect conn.send_mu (fun () ->
+          List.iter
+            (fun { Proto.id; req } ->
+              match req with
+              | Error msg ->
+                  Atomic.incr t.stats.protocol_errors;
+                  out
+                    (Json.to_string
+                       (Proto.error ?id ~reason:Proto.Protocol ~message:msg ()))
+              | Ok (Proto.Job spec) -> submit t conn id spec ~ack:false ~out
+              | Ok _ ->
+                  (* unreachable: the parser only puts jobs in a batch *)
+                  Atomic.incr t.stats.protocol_errors;
+                  out
+                    (Json.to_string
+                       (Proto.error ?id ~reason:Proto.Protocol
+                          ~message:"batch elements must be jobs" ())))
+            jobs;
+          if !acc <> [] then
+            write_locked conn (String.concat "\n" (List.rev !acc)))
 
 let conn_loop t conn () =
   let ic = Unix.in_channel_of_descr conn.fd in

@@ -1,4 +1,3 @@
-module Gen_kernel = Test_support.Gen_kernel
 module Hb = Edge_ir.Hblock
 module Tac = Edge_ir.Tac
 module Temp = Edge_ir.Temp
@@ -223,7 +222,7 @@ let all_configs_compile () =
     (fun (_, config) ->
       List.iter
         (fun seed ->
-          let ast = Gen_kernel.generate ~seed ~size:20 in
+          let ast = Edge_fuzz.Gen.generate ~seed ~size:20 in
           match Edge_lang.Lower.lower ast with
           | Error e -> Alcotest.failf "lower: %s" e
           | Ok cfg -> (
@@ -309,7 +308,7 @@ let sand_pass () =
 let passes_idempotent () =
   List.iter
     (fun seed ->
-      let ast = Gen_kernel.generate ~seed ~size:18 in
+      let ast = Edge_fuzz.Gen.generate ~seed ~size:18 in
       let cfg = Result.get_ok (Edge_lang.Lower.lower ast) in
       Edge_ir.Ssa.construct cfg;
       Dfp.Opt_classic.run cfg;

@@ -1,4 +1,3 @@
-module Gen_kernel = Test_support.Gen_kernel
 module A = Edge_lang.Ast
 module P = Edge_lang.Parser
 module I = Edge_lang.Interp
@@ -178,13 +177,13 @@ let qcheck_random_parse =
   QCheck.Test.make ~name:"random kernels typecheck and interp" ~count:60
     QCheck.(pair (int_bound 10000) (int_range 4 20))
     (fun (seed, size) ->
-      let ast = Gen_kernel.generate ~seed ~size in
+      let ast = Edge_fuzz.Gen.generate ~seed ~size in
       match Edge_lang.Typecheck.check_kernel ast with
       | Error e -> QCheck.Test.fail_reportf "typecheck: %s" e
       | Ok () -> (
-          let mem = Gen_kernel.default_mem () in
+          let mem = Edge_fuzz.Gen.default_mem () in
           match
-            Edge_lang.Interp.run ast ~args:Gen_kernel.default_args ~mem
+            Edge_lang.Interp.run ast ~args:Edge_fuzz.Gen.default_args ~mem
           with
           | Ok _ -> true
           | Error e -> QCheck.Test.fail_reportf "interp: %s" e))

@@ -2,13 +2,12 @@
    well-formedness, scheduler validity and determinism, and semantic
    preservation of each predicate optimization in isolation. *)
 
-module Gen_kernel = Test_support.Gen_kernel
 module Hb = Edge_ir.Hblock
 module Temp = Edge_ir.Temp
 module Cfg = Edge_ir.Cfg
 
 let hblocks_of_seed seed size =
-  let ast = Gen_kernel.generate ~seed ~size in
+  let ast = Edge_fuzz.Gen.generate ~seed ~size in
   let cfg = Result.get_ok (Edge_lang.Lower.lower ast) in
   Edge_ir.Ssa.construct cfg;
   Dfp.Opt_classic.run cfg;
@@ -99,7 +98,7 @@ let outputs_have_producers seed () =
 
 (* The scheduler must produce a valid, deterministic placement. *)
 let schedule_props seed () =
-  let ast = Gen_kernel.generate ~seed ~size:20 in
+  let ast = Edge_fuzz.Gen.generate ~seed ~size:20 in
   let cfg = Result.get_ok (Edge_lang.Lower.lower ast) in
   let c = Result.get_ok (Dfp.Driver.compile_cfg cfg Dfp.Config.both) in
   List.iter
@@ -144,10 +143,10 @@ let solo_opt_configs =
   ]
 
 let solo_opt_preserves (cname, config) seed () =
-  let ast = Gen_kernel.generate ~seed ~size:16 in
-  let mem_ref = Gen_kernel.default_mem () in
+  let ast = Edge_fuzz.Gen.generate ~seed ~size:16 in
+  let mem_ref = Edge_fuzz.Gen.default_mem () in
   match
-    Edge_lang.Interp.run ~fuel:3_000_000 ast ~args:Gen_kernel.default_args
+    Edge_lang.Interp.run ~fuel:3_000_000 ast ~args:Edge_fuzz.Gen.default_args
       ~mem:mem_ref
   with
   | Error _ -> () (* non-terminating or faulting: skip *)
@@ -160,8 +159,8 @@ let solo_opt_preserves (cname, config) seed () =
           let regs = Array.make 128 0L in
           List.iteri
             (fun i v -> regs.(Edge_isa.Conventions.param_reg i) <- v)
-            Gen_kernel.default_args;
-          let mem = Gen_kernel.default_mem () in
+            Edge_fuzz.Gen.default_args;
+          let mem = Edge_fuzz.Gen.default_mem () in
           match Edge_sim.Functional.run c.Dfp.Driver.program ~regs ~mem with
           | Error e -> Alcotest.failf "%s run: %s" cname e
           | Ok _ ->
@@ -188,7 +187,7 @@ let cycle_deterministic () =
 let resource_limits seed () =
   List.iter
     (fun (_, config) ->
-      let ast = Gen_kernel.generate ~seed ~size:24 in
+      let ast = Edge_fuzz.Gen.generate ~seed ~size:24 in
       let cfg = Result.get_ok (Edge_lang.Lower.lower ast) in
       match Dfp.Driver.compile_cfg cfg config with
       | Error e -> Alcotest.failf "compile: %s" e

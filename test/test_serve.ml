@@ -801,6 +801,47 @@ let answered_means_persisted () =
     (Json.str_member "run_digest" warm);
   Client.close c
 
+(* every id's accepted line must precede its terminal line.  A job a
+   worker fails at once (an unknown workload) races its error line
+   against the reader thread's accepted line as tightly as any job can.
+   Windows of 16 outstanding jobs stay under the queue cap, so none is
+   rejected; a running worker pops each job the moment it is queued,
+   and the identical specs also take the merged path.  Batch frames
+   (their verdicts travel in one flush) follow the single jobs. *)
+let accepted_before_terminal () =
+  with_server ~jobs:2 "srv_order" @@ fun _srv ->
+  let c = Client.connect "srv_order.sock" in
+  let job =
+    Client.workload_job ~workload:"no-such-workload" ~config:"Both" ()
+  in
+  let first = Hashtbl.create 4096 in
+  let rec drain pending =
+    if pending > 0 then
+      match Client.recv c with
+      | Some (Ok v) ->
+          let id = Option.value (Json.str_member "id" v) ~default:"?" in
+          if not (Hashtbl.mem first id) then Hashtbl.add first id (rtype v);
+          drain (if Client.is_terminal v then pending - 1 else pending)
+      | Some (Error e) -> Alcotest.failf "unparseable response: %s" e
+      | None -> Alcotest.fail "server hung up"
+  in
+  for _ = 1 to 125 do
+    for _ = 1 to 16 do
+      ignore (Client.submit c job)
+    done;
+    drain 16
+  done;
+  for _ = 1 to 50 do
+    ignore (Client.submit_batch c (List.init 16 (fun _ -> job)));
+    drain 16
+  done;
+  Alcotest.(check int) "ids answered" 2800 (Hashtbl.length first);
+  let early =
+    Hashtbl.fold (fun _ t n -> if t = "accepted" then n else n + 1) first 0
+  in
+  Alcotest.(check int) "ids whose first line is not accepted" 0 early;
+  Client.close c
+
 let tests =
   [
     Alcotest.test_case "json roundtrip" `Quick json_roundtrip;
@@ -821,4 +862,6 @@ let tests =
     Alcotest.test_case "fast-path stats" `Quick fast_path_stats;
     Alcotest.test_case "answered means persisted" `Quick
       answered_means_persisted;
+    Alcotest.test_case "accepted before terminal" `Quick
+      accepted_before_terminal;
   ]
