@@ -13,13 +13,17 @@ test:
 
 # the tier-1 gate: everything compiles, the full suite is green, a
 # short parallel fuzz campaign finds nothing, and the observability
-# layer round-trips (valid Chrome JSON, golden trace matches)
+# layer round-trips (valid Chrome JSON, golden trace matches); a fresh
+# uncached Figure 7 sweep must reproduce the committed BENCH_fig7.json
+# (cycle counts and pass counters, via bench-compare)
 check:
 	dune build @all && dune runtest && $(MAKE) fuzz-smoke && $(MAKE) matrix-smoke \
 	&& $(MAKE) check-smoke && $(MAKE) analyze-smoke \
 	&& $(MAKE) trace-smoke && $(MAKE) jit-smoke && $(MAKE) perf-smoke \
 	&& $(MAKE) serve-smoke && $(MAKE) serve-scale-smoke && $(MAKE) cross-cache-smoke \
-	&& $(MAKE) bench-compare BASE=BENCH_fig7.json NEW=BENCH_fig7.json \
+	&& fresh=$$(mktemp) && trap 'rm -f "$$fresh"' EXIT \
+	&& ./_build/default/bench/main.exe fig7 -j 2 --no-cache --json "$$fresh" >/dev/null \
+	&& $(MAKE) bench-compare BASE=BENCH_fig7.json NEW="$$fresh" \
 	&& $(MAKE) bench-compare BASE=BENCH_serve.json NEW=BENCH_serve.json \
 	&& $(MAKE) perfbench-smoke
 
@@ -54,8 +58,9 @@ matrix-smoke: build
 trace-smoke: build
 	dune exec test/trace_smoke.exe
 
-# diff two BENCH_fig7.json files: fails on any per-benchmark cycle
-# drift, reports the wall-clock delta
+# diff two BENCH_fig7.json files: fails on BB/Hyper cycle drift, a
+# Both geomean regression or any pass-counter drift, reports the
+# wall-clock delta
 #   make bench-compare BASE=old.json NEW=new.json
 BASE ?= BENCH_fig7.json
 NEW ?= BENCH_fig7.json

@@ -8,7 +8,10 @@
        — the baselines run no optimization in flux, so they must be
        byte-identical;
      - the Both geomean speedup on the top-level (trips_grid) table
-       regressing fails — new optimizations have to pay their way.
+       regressing fails — new optimizations have to pay their way;
+     - any pass-counter drift (a config or counter missing on either
+       side, or a different count) fails: the counters are exact
+       functions of the compiler and the workloads.
    Optimized-config per-bench drift is reported as informational
    "delta" lines, and per-config geomean deltas are printed for the
    top-level table and every per-backend section.  Wall-clock and
@@ -68,6 +71,23 @@ let backends_of (v : t) : (string * (string * (string * int) list) list) list
   match member "backends" v with
   | Some (Obj sections) ->
       List.map (fun (name, section) -> (name, cycles_of section)) sections
+  | _ -> []
+
+(* config -> (counter -> value) of the pass_counters section *)
+let counters_of (v : t) : (string * (string * int) list) list =
+  match member "pass_counters" v with
+  | Some (Obj configs) ->
+      List.map
+        (fun (cfg, cs) ->
+          ( cfg,
+            match cs with
+            | Obj kvs ->
+                List.filter_map
+                  (fun (k, x) ->
+                    match x with Num f -> Some (k, int_of_float f) | _ -> None)
+                  kvs
+            | _ -> [] ))
+        configs
   | _ -> []
 
 let wall_of v = Option.bind (member "wall_s" v) (num_member "total")
@@ -304,6 +324,26 @@ let () =
           "NEW backend %s: %d benches (informational, absent from %s)\n"
           backend (List.length table) base_path)
     new_backends;
+  (* pass counters are compared both ways: a counter that appears is
+     as much a drift as one that vanishes *)
+  let base_counters = counters_of base and new_counters = counters_of next in
+  let keys l = List.sort_uniq compare (List.map fst l) in
+  List.iter
+    (fun cfg ->
+      let b = Option.value ~default:[] (List.assoc_opt cfg base_counters)
+      and n = Option.value ~default:[] (List.assoc_opt cfg new_counters) in
+      List.iter
+        (fun k ->
+          let show = function Some c -> string_of_int c | None -> "absent" in
+          let cb = List.assoc_opt k b and cn = List.assoc_opt k n in
+          incr compared;
+          if cb <> cn then begin
+            incr drifts;
+            Printf.printf "DRIFT counter %-6s %s %s -> %s\n" cfg k (show cb)
+              (show cn)
+          end)
+        (keys (b @ n)))
+    (keys (base_counters @ new_counters));
   (match (wall_of base, wall_of next) with
   | Some wb, Some wn ->
       Printf.printf "wall: %.3fs -> %.3fs (%+.1f%%)\n" wb wn
@@ -326,12 +366,13 @@ let () =
                 sb sn)
         base_fsim);
   if !drifts > 0 then begin
-    Printf.printf "FAIL: %d cycle drift(s) over %d comparisons\n" !drifts
+    Printf.printf "FAIL: %d drift(s) over %d comparisons\n" !drifts
       !compared;
     exit 1
   end
   else
     Printf.printf
-      "OK: %d cycle counts compared (%d optimized-config delta(s), \
-       informational), baselines identical, Both geomean held\n"
+      "OK: %d cycle and pass counts compared (%d optimized-config \
+       delta(s), informational), baselines and pass counters identical, \
+       Both geomean held\n"
       !compared !deltas

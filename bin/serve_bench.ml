@@ -689,8 +689,19 @@ let run_bench ~out ~warm_passes =
 
 (* -- scale-smoke mode ---------------------------------------------- *)
 
+(* 40 distinct jobs (the first 20 registry workloads x Hyper, Both):
+   each cold figure is one lock-step pass over all of them, about two
+   seconds of compiles, so no single slow or fast job decides the
+   -j1/-j4 cold ratio *)
+let scale_workloads =
+  List.filteri
+    (fun i _ -> i < 20)
+    (List.map
+       (fun (w : Edge_workloads.Workload.t) -> w.Edge_workloads.Workload.name)
+       Edge_workloads.Registry.all)
+
 let run_scale_smoke () =
-  let specs = specs [ "tblook01"; "cacheb01" ] in
+  let specs = specs scale_workloads in
   let r1, _ = bench_one ~j:1 ~warm_passes:5 specs in
   let r4, _ = bench_one ~j:4 ~warm_passes:5 specs in
   Printf.printf
@@ -704,8 +715,8 @@ let run_scale_smoke () =
          >= 2x)"
       (r4.warm_jobs_s /. r1.warm_jobs_s);
   (* cold is concurrency-1 and therefore j-independent; the tolerance
-     absorbs timer/GC noise on a handful of compile-bound jobs, not a
-     real regression (the idle-worker GC tax this guards against was a
+     absorbs timer/GC noise over the 40 compile-bound jobs, not a real
+     regression (the idle-worker GC tax this guards against was a
      reproducible 30-40% drop) *)
   if r4.cold_jobs_s < 0.8 *. r1.cold_jobs_s then
     die "cold throughput fell from %.1f to %.1f jobs/s going -j1 -> -j4"

@@ -121,12 +121,11 @@ let of_block ?(index = 0) (b : Block.t) =
     Array.sort (fun a b -> compare store_lsids.(a) store_lsids.(b)) idx;
     idx
   in
-  let slot_cap =
-    Array.fold_left (fun acc l -> max acc (l + 1)) Block.max_lsids store_lsids
-  in
-  let store_slot = Array.make slot_cap (-1) in
+  let store_slot = Array.make Block.max_lsids (-1) in
   Array.iteri
-    (fun k l -> if l >= 0 && store_slot.(l) < 0 then store_slot.(l) <- k)
+    (fun k l ->
+      if l >= 0 && l < Block.max_lsids && store_slot.(l) < 0 then
+        store_slot.(l) <- k)
     store_lsids;
   let seeds = ref [] in
   Array.iteri
@@ -157,9 +156,9 @@ let of_block ?(index = 0) (b : Block.t) =
     exits = b.Block.exits;
   }
 
-(* [store_slot] answers in O(1) for in-range LSIDs; the scan fallback
-   preserves the old behaviour (search the declaration list) for
-   malformed negative LSIDs *)
+(* [store_slot] answers in O(1) for the architectural LSIDs 0..31; the
+   scan fallback (search the declaration list) serves malformed ones, so
+   decoding never allocates in proportion to an LSID *)
 let store_slot_of t lsid =
   if lsid >= 0 && lsid < Array.length t.store_slot then t.store_slot.(lsid)
   else

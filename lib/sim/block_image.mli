@@ -84,6 +84,5 @@ val of_program : Program.t -> program
 val find_index : program -> string -> int option
 
 val store_slot_of : t -> int -> int
-(** Store slot declared for an LSID, or -1. O(1) for well-formed LSIDs
-    with a linear-scan fallback preserving the old list-search
-    semantics for out-of-range ones. *)
+(** Store slot declared for an LSID, or -1. O(1) for LSIDs 0..31, a
+    scan of the declaration list for out-of-range ones. *)

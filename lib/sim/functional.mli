@@ -7,7 +7,9 @@
     the architectural oracle for the cycle simulator and as the
     correctness check for compiled code, and detects malformed blocks
     (double operand delivery, two matching predicates, double branch,
-    missing outputs/deadlock). *)
+    missing outputs/deadlock). Delivery, firing and those diagnostics
+    are {!Block_step}'s; this module is its concrete instance (payloads,
+    memory with store-to-load forwarding, exception bits, commit). *)
 
 type outcome = {
   exit_taken : string option;  (** [None] when the program halted *)
@@ -45,12 +47,15 @@ val set_jit : bool -> unit
 
 val jit_enabled : unit -> bool
 
-(** The per-block execution engine behind [run_block]/[run], exposed so
-    a timing backend can execute blocks with these exact architectural
-    semantics and read back what happened. [Inorder_sim] is the
-    consumer: it charges cycles for the firings this engine performs,
-    which makes result divergence from the functional simulator
-    impossible by construction. *)
+(** The per-block execution engine behind [run_block]/[run]:
+    {!Block_step.Make} at the concrete token domain plus the block
+    commit. The fuzz validator runs the same step at an abstract
+    domain, so what it proves about a block holds for these semantics.
+    Exposed so a timing backend can execute blocks with these exact
+    architectural semantics and read back what happened. [Inorder_sim]
+    is the consumer: it charges cycles for the firings this engine
+    performs, which makes result divergence from the functional
+    simulator impossible by construction. *)
 module Engine : sig
   type state
 

@@ -128,6 +128,40 @@ let null_store ?(lose_marker = false) () =
       I.make ~id:7 ~opcode:O.Bro ~exit_idx:0 ();
     ]
 
+(* a load (LSID 1) behind a predicated store (LSID 0) that stores on the
+   true path and is nulled on the false one, so the load must wait for
+   either resolution; [two_branches] adds a second exit on the true arm *)
+let load_after_store ?(two_branches = false) () =
+  let b =
+    mk "load_after_store" ~writes:1 ~lsids:[ 0 ]
+      ~reads:[ read 0 3 [ ti 1 T.Left ] ]
+      [
+        I.make ~id:0 ~opcode:O.Movi ~imm:0L ~targets:[ ti 1 T.Right ] ();
+        I.make ~id:1 ~opcode:(O.Tst O.Eq) ~targets:[ ti 2 T.Left ] ();
+        I.make ~id:2 ~opcode:O.Mov4
+          ~targets:
+            ([ ti 5 T.Pred; ti 6 T.Pred ]
+            @ if two_branches then [ ti 10 T.Pred ] else [])
+          ();
+        I.make ~id:3 ~opcode:O.Movi ~imm:64L ~targets:[ ti 5 T.Left ] ();
+        I.make ~id:4 ~opcode:O.Movi ~imm:5L ~targets:[ ti 5 T.Right ] ();
+        I.make ~id:5 ~opcode:(O.St O.W8) ~pred:I.If_true ~lsid:0 ();
+        I.make ~id:6 ~opcode:O.Null ~pred:I.If_false ~targets:[ ti 5 T.Left ]
+          ();
+        I.make ~id:7 ~opcode:O.Movi ~imm:64L ~targets:[ ti 8 T.Left ] ();
+        I.make ~id:8 ~opcode:(O.Ld O.W8) ~lsid:1 ~targets:[ tw 0 ] ();
+        I.make ~id:9 ~opcode:O.Bro ~exit_idx:0 ();
+      ]
+  in
+  if two_branches then
+    {
+      b with
+      B.instrs =
+        Array.append b.B.instrs
+          [| I.make ~id:10 ~opcode:O.Bro ~pred:I.If_true ~exit_idx:0 () |];
+    }
+  else b
+
 (* a Mov4 fanout tree; [mixed] packs Left and Right consumers into one
    tree (the PR 2 mov4 packing bug) *)
 let fanout ?(mixed = false) () =
@@ -192,6 +226,7 @@ let bases_clean () =
       enum_clean b.B.name b)
     [
       diamond (); stores (); null_store (); fanout (); reserved (); merged ();
+      load_after_store ();
     ]
 
 let flipped_polarity () =
@@ -230,6 +265,44 @@ let decoupled_predicate () =
     [ ("double-delivery", "W0"); ("output-completeness", "W0") ]
     (bcheck b);
   enum_flags "decoupled predicate" b
+
+(* The enumerator's exact wording, pinned: its messages come from the
+   shared block step, so a change to the step's diagnostics shows here. *)
+let enum_errors what expected b =
+  match Validate.block b with
+  | Ok skipped ->
+      Alcotest.(check bool) (what ^ " not skipped") false skipped;
+      Alcotest.(check (list string)) what expected []
+  | Error es -> Alcotest.(check (list string)) what expected es
+
+let load_behind_store () =
+  let b = load_after_store () in
+  enum_errors "load behind store" [] b;
+  (* the same block through the concrete instance: the load sees the
+     stored 5 on the true path and memory's 0 on the nulled one *)
+  List.iter
+    (fun (r3, want) ->
+      let regs = Array.make 128 0L in
+      regs.(3) <- r3;
+      let mem = Edge_isa.Mem.create ~size:4096 in
+      (match
+         Edge_sim.Functional.run_block b ~regs ~mem
+           ~stats:(Edge_sim.Stats.create ())
+       with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "load behind store: %s" e);
+      Alcotest.(check int64) (Printf.sprintf "W0 with r3=%Ld" r3) want regs.(40))
+    [ (0L, 5L); (1L, 0L) ]
+
+let two_branches () =
+  let b = load_after_store ~two_branches:true () in
+  expect "two branches" [ ("branch", "branch") ] (bcheck b);
+  enum_errors "two branches" [ "path [I1=1]: two branches fired" ] b
+
+let duplicated_lsid_message () =
+  enum_errors "duplicated lsid"
+    [ "path []: store lsid 0 resolved twice" ]
+    (stores ~dup:true ())
 
 (* ---- the five historical PR 2 bugs, re-injected --------------------- *)
 
@@ -450,6 +523,9 @@ let tests =
     Alcotest.test_case "mutation: non-disjoint merge" `Quick nondisjoint_merge;
     Alcotest.test_case "mutation: decoupled predicate" `Quick
       decoupled_predicate;
+    Alcotest.test_case "load behind predicated store" `Quick load_behind_store;
+    Alcotest.test_case "mutation: two branches fired" `Quick two_branches;
+    Alcotest.test_case "duplicated lsid message" `Quick duplicated_lsid_message;
     Alcotest.test_case "pr2: opt_merge polarity loss" `Quick pr2_merge_polarity;
     Alcotest.test_case "pr2: mov4 packing" `Quick pr2_mov4_packing;
     Alcotest.test_case "pr2: reserved I0.Left" `Quick pr2_reserved_slot;
